@@ -20,11 +20,9 @@
 //! serialize everything, so read the numbers against that field.
 //!
 //! In-process runs finish with a **subscriber sweep**: 100 / 1k / 10k
-//! concurrent standing subscriptions over the in-memory transport, one
-//! series per I/O backend, measuring per-tick fan-out latency (tick
-//! stamp → each subscriber's `TICK_END` decoded). The threaded backend
-//! is skipped at 10k — two OS threads per connection would need 20k
-//! threads — which is exactly the scaling cliff the reactor removes.
+//! concurrent standing subscriptions over the in-memory transport,
+//! measuring per-tick fan-out latency (tick stamp → each subscriber's
+//! `TICK_END` decoded).
 
 use std::io::Write;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -39,8 +37,8 @@ use igern_mobgen::rng::Rng64;
 use igern_server::client::Event;
 use igern_server::proto::{Frame, FrameReader, ReadOutcome};
 use igern_server::{
-    memory_listener, Client, IoBackend, Listener, Server, ServerConfig, SlowConsumerPolicy, Stream,
-    TickMode, PROTOCOL_VERSION,
+    memory_listener, Client, Listener, Server, ServerConfig, SlowConsumerPolicy, Stream, TickMode,
+    PROTOCOL_VERSION,
 };
 use igern_wal::{FsyncPolicy, WalOptions};
 
@@ -59,8 +57,6 @@ struct SrvArgs {
     addr: Option<String>,
     /// Send a SHUTDOWN frame when done (external mode).
     shutdown: bool,
-    /// I/O backend for in-process runs; `None` sweeps both.
-    io: Option<IoBackend>,
     /// Override the subscriber-sweep counts (default 100/1k/10k).
     subscribers: Option<usize>,
 }
@@ -76,7 +72,6 @@ impl SrvArgs {
             quick: false,
             addr: None,
             shutdown: false,
-            io: None,
             subscribers: None,
         };
         let mut it = std::env::args().skip(1);
@@ -99,19 +94,10 @@ impl SrvArgs {
                 "--subscribers" => {
                     args.subscribers = Some(value("--subscribers").parse().expect("--subscribers"))
                 }
-                "--io" => {
-                    let name = value("--io");
-                    args.io = match name.as_str() {
-                        "both" => None,
-                        other => Some(
-                            IoBackend::parse(other)
-                                .unwrap_or_else(|| panic!("--io {other:?} (threads|reactor|both)")),
-                        ),
-                    };
-                }
                 other => panic!(
                     "unknown flag {other} \
-                     (--clients --updates --objects --tick-ms --seed --quick --addr --shutdown --io)"
+                     (--clients --updates --objects --tick-ms --seed --quick --addr --shutdown \
+                     --subscribers)"
                 ),
             }
         }
@@ -209,9 +195,6 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 struct Series {
     label: String,
     workers: usize,
-    /// `None` for the external mode, where the server's backend is its
-    /// own business.
-    io: Option<IoBackend>,
     /// `None` = no write-ahead log for this series.
     wal_fsync: Option<FsyncPolicy>,
     updates_per_sec: f64,
@@ -243,12 +226,7 @@ fn run_clients(addr: &str, args: &SrvArgs) -> (f64, Vec<f64>) {
     (sent as f64 / wall, latencies)
 }
 
-fn measure_in_process(
-    workers: usize,
-    io: IoBackend,
-    args: &SrvArgs,
-    wal_fsync: Option<FsyncPolicy>,
-) -> Series {
+fn measure_in_process(workers: usize, args: &SrvArgs, wal_fsync: Option<FsyncPolicy>) -> Series {
     let store = SpatialStore::new(Aabb::from_coords(0.0, 0.0, SIDE, SIDE), 16, Vec::new());
     let wal_dir = wal_fsync.map(|fsync| {
         let dir = std::env::temp_dir().join(format!(
@@ -263,7 +241,6 @@ fn measure_in_process(
         space: Aabb::from_coords(0.0, 0.0, SIDE, SIDE),
         grid: 16,
         workers,
-        io,
         tick_mode: TickMode::Every(Duration::from_millis(args.tick_ms.max(1))),
         slow_consumer: SlowConsumerPolicy::Coalesce,
         wal: wal_dir.as_ref().map(|(dir, fsync)| WalOptions {
@@ -277,17 +254,12 @@ fn measure_in_process(
     let (updates_per_sec, latencies) = run_clients(&addr, args);
     let m = server.metrics();
     let label = match wal_fsync {
-        None => format!("in-process, {workers} workers, {} io", io.name()),
-        Some(f) => format!(
-            "in-process, {workers} workers, {} io, wal fsync={}",
-            io.name(),
-            f.name()
-        ),
+        None => format!("in-process, {workers} workers"),
+        Some(f) => format!("in-process, {workers} workers, wal fsync={}", f.name()),
     };
     let series = Series {
         label,
         workers,
-        io: Some(io),
         wal_fsync,
         updates_per_sec,
         p50_ms: percentile(&latencies, 0.50),
@@ -309,15 +281,12 @@ const SWEEP_OBJECTS: u32 = 512;
 const SWEEP_CHURN: usize = 64;
 
 struct SweepPoint {
-    io: IoBackend,
     subscribers: usize,
     ticks: u64,
     handshake_secs: f64,
     fanout_p50_ms: f64,
     fanout_p99_ms: f64,
     samples: usize,
-    /// `Some(reason)` when the point was not measured.
-    skipped: Option<&'static str>,
 }
 
 /// Block on `r` (bounded by the stream's read timeout per poll) until a
@@ -342,12 +311,11 @@ fn next_push(r: &mut FrameReader<Stream>, deadline: Duration) -> Frame {
 /// `TICK_END` arrival is timed against the tick's push stamp; the
 /// drain runs on one thread, so the recorded p99 is the cost of
 /// delivering *and consuming* the full fan-out, not one lucky socket.
-fn sweep_point(io: IoBackend, n: usize, ticks: u64, args: &SrvArgs) -> SweepPoint {
+fn sweep_point(n: usize, ticks: u64, args: &SrvArgs) -> SweepPoint {
     let space = Aabb::from_coords(0.0, 0.0, SIDE, SIDE);
     let cfg = ServerConfig {
         space,
         grid: 16,
-        io,
         tick_mode: TickMode::Manual,
         slow_consumer: SlowConsumerPolicy::Coalesce,
         ..ServerConfig::default()
@@ -450,14 +418,12 @@ fn sweep_point(io: IoBackend, n: usize, ticks: u64, args: &SrvArgs) -> SweepPoin
     drop(driver);
     server.stop();
     SweepPoint {
-        io,
         subscribers: n,
         ticks,
         handshake_secs,
         fanout_p50_ms: percentile(&lat_ms, 0.50),
         fanout_p99_ms: percentile(&lat_ms, 0.99),
         samples: lat_ms.len(),
-        skipped: None,
     }
 }
 
@@ -468,36 +434,13 @@ fn run_subscriber_sweep(args: &SrvArgs) -> Vec<SweepPoint> {
         None => vec![100, 1_000, 10_000],
     };
     let ticks: u64 = if args.quick { 3 } else { 5 };
-    let backends: &[IoBackend] = match args.io {
-        Some(IoBackend::Reactor) => &[IoBackend::Reactor],
-        Some(IoBackend::Threads) => &[IoBackend::Threads],
-        None => &[IoBackend::Reactor, IoBackend::Threads],
-    };
-    let mut points = Vec::new();
-    for &io in backends {
-        for &n in &counts {
-            if io == IoBackend::Threads && n >= 10_000 {
-                // Two OS threads per connection: 10k subscribers means
-                // 20k threads, which degrades (or outright fails) long
-                // before the reactor's fixed pool notices. Documented
-                // rather than measured.
-                points.push(SweepPoint {
-                    io,
-                    subscribers: n,
-                    ticks,
-                    handshake_secs: f64::NAN,
-                    fanout_p50_ms: f64::NAN,
-                    fanout_p99_ms: f64::NAN,
-                    samples: 0,
-                    skipped: Some("threads backend needs 2 OS threads/conn; 20k threads"),
-                });
-                continue;
-            }
-            println!("  sweep: {} io, {n} subscribers ...", io.name());
-            points.push(sweep_point(io, n, ticks, args));
-        }
-    }
-    points
+    counts
+        .into_iter()
+        .map(|n| {
+            println!("  sweep: {n} subscribers ...");
+            sweep_point(n, ticks, args)
+        })
+        .collect()
 }
 
 fn main() {
@@ -515,7 +458,6 @@ fn main() {
             vec![Series {
                 label: format!("external {addr}"),
                 workers: 0,
-                io: None,
                 wal_fsync: None,
                 updates_per_sec,
                 p50_ms: percentile(&latencies, 0.50),
@@ -526,11 +468,10 @@ fn main() {
             }]
         }
         None => {
-            let io = args.io.unwrap_or(IoBackend::Reactor);
             let sweep = if host_cpus >= 4 { vec![1, 4] } else { vec![1] };
             let mut series: Vec<Series> = sweep
                 .iter()
-                .map(|&w| measure_in_process(w, io, &args, None))
+                .map(|&w| measure_in_process(w, &args, None))
                 .collect();
             // Durability sweep: the same workload over a write-ahead
             // log, one series per fsync policy, at the widest worker
@@ -539,7 +480,7 @@ fn main() {
             // baseline series).
             let wal_workers = *sweep.last().expect("sweep never empty");
             for fsync in [FsyncPolicy::Never, FsyncPolicy::Tick, FsyncPolicy::Always] {
-                series.push(measure_in_process(wal_workers, io, &args, Some(fsync)));
+                series.push(measure_in_process(wal_workers, &args, Some(fsync)));
             }
             series
         }
@@ -573,24 +514,16 @@ fn main() {
             .iter()
             .map(|p| {
                 vec![
-                    p.io.name().to_string(),
                     p.subscribers.to_string(),
-                    match p.skipped {
-                        Some(why) => format!("skipped: {why}"),
-                        None => format!("{:.3}", p.fanout_p50_ms),
-                    },
-                    if p.skipped.is_some() {
-                        "-".to_string()
-                    } else {
-                        format!("{:.3}", p.fanout_p99_ms)
-                    },
+                    format!("{:.3}", p.fanout_p50_ms),
+                    format!("{:.3}", p.fanout_p99_ms),
                     p.samples.to_string(),
                 ]
             })
             .collect();
         print_table(
             "SRV: subscriber fan-out sweep (tick stamp → TICK_END decoded)",
-            &["io", "subscribers", "p50 ms", "p99 ms", "samples"],
+            &["subscribers", "p50 ms", "p99 ms", "samples"],
             &rows,
         );
     }
@@ -599,14 +532,13 @@ fn main() {
         .iter()
         .map(|s| {
             format!(
-                "    {{\"label\": \"{}\", \"workers\": {}, \"io\": {}, \"wal_fsync\": {}, \
+                "    {{\"label\": \"{}\", \"workers\": {}, \"wal_fsync\": {}, \
                  \"updates_per_sec\": {:.1}, \
                  \"tick_to_push_p50_ms\": {:.4}, \"tick_to_push_p99_ms\": {:.4}, \
                  \"latency_samples\": {}, \"slow_consumer_events\": {}, \
                  \"protocol_errors\": {}}}",
                 s.label,
                 s.workers,
-                s.io.map_or("null".to_string(), |io| format!("\"{}\"", io.name())),
                 s.wal_fsync
                     .map_or("null".to_string(), |f| format!("\"{}\"", f.name())),
                 s.updates_per_sec,
@@ -629,18 +561,15 @@ fn main() {
                 }
             };
             format!(
-                "    {{\"io\": \"{}\", \"subscribers\": {}, \"ticks\": {}, \
+                "    {{\"subscribers\": {}, \"ticks\": {}, \
                  \"handshake_secs\": {}, \"fanout_p50_ms\": {}, \"fanout_p99_ms\": {}, \
-                 \"samples\": {}, \"skipped\": {}}}",
-                p.io.name(),
+                 \"samples\": {}}}",
                 p.subscribers,
                 p.ticks,
                 num(p.handshake_secs),
                 num(p.fanout_p50_ms),
                 num(p.fanout_p99_ms),
                 p.samples,
-                p.skipped
-                    .map_or("null".to_string(), |why| format!("\"{why}\"")),
             )
         })
         .collect();

@@ -202,8 +202,8 @@ fn bench_extensions() {
 }
 
 fn bench_processor() {
-    // 64 standing IGERN queries over one tick of updates: sequential vs
-    // 4-way parallel evaluation, with and without dirty-region routing.
+    // 64 standing IGERN queries over one tick of updates, with and
+    // without dirty-region routing.
     let build = || {
         let mut f = fixture(false);
         let kinds = vec![ObjectKind::A; f.store.len()];
@@ -244,15 +244,6 @@ fn bench_processor() {
         },
         |(mut proc, ups)| {
             proc.step(&ups);
-            proc
-        },
-    );
-    bench_batched(
-        "processor_64_queries",
-        "step_parallel_4",
-        build,
-        |(mut proc, ups)| {
-            proc.step_parallel(&ups, 4);
             proc
         },
     );

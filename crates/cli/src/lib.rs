@@ -25,7 +25,7 @@ use igern_mobgen::{
     build_synthetic_network, Mover, RecordedTrace, RoadNetwork, Scenario, SyntheticNetworkConfig,
     Workload, WorkloadConfig,
 };
-use igern_server::{IoBackend, Server, ServerConfig, SlowConsumerPolicy, TickMode};
+use igern_server::{Server, ServerConfig, SlowConsumerPolicy, TickMode};
 
 /// Errors surfaced to the CLI user.
 #[derive(Debug)]
@@ -454,11 +454,6 @@ pub fn serve<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         "off" => false,
         other => return Err(CliError(format!("bad value for --batch: {other:?}"))),
     };
-    let io = match args.get("io") {
-        None => IoBackend::default_from_env(),
-        Some(name) => IoBackend::parse(name)
-            .ok_or_else(|| CliError(format!("bad value for --io: {name:?} (threads|reactor)")))?,
-    };
     let cfg = ServerConfig {
         space,
         grid,
@@ -471,7 +466,6 @@ pub fn serve<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             TickMode::Every(Duration::from_millis(tick_ms))
         },
         slow_consumer,
-        io,
         io_threads: args.num("io-threads", 0usize)?,
         outbound_queue_frames: args.num("queue", 1024usize)?,
         wal: wal_options_arg(args)?,
@@ -510,7 +504,7 @@ pub fn serve<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     }
     writeln!(
         out,
-        "serving on {} ({} workers, tick {}, {} policy, {} io)",
+        "serving on {} ({} workers, tick {}, {} policy)",
         server.local_addr(),
         workers,
         if tick_ms == 0 {
@@ -522,7 +516,6 @@ pub fn serve<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             SlowConsumerPolicy::Disconnect => "disconnect",
             SlowConsumerPolicy::Coalesce => "coalesce",
         },
-        io.name(),
     )?;
     out.flush()?;
     server.wait();
@@ -1145,7 +1138,7 @@ COMMANDS:
   serve        [--addr HOST:PORT] [--workers N] [--tick-ms N] [--grid N]
                [--space SIDE] [--trace FILE] [--slow-consumer disconnect|coalesce]
                [--queue N] [--placement round-robin|anchor-cell] [--batch on|off]
-               [--io threads|reactor] [--io-threads N] [--metrics-out FILE]
+               [--io-threads N] [--metrics-out FILE]
                [--wal-dir DIR] [--snapshot-every N] [--fsync always|tick|never]
                [--segment-bytes N]
                [--distance euclidean|network] [--network FILE] [--net-seed N]
@@ -1177,9 +1170,8 @@ subscribe continuous queries, and receive per-tick answer deltas (see
 DESIGN.md §12 for the wire protocol). `--tick-ms 0` ticks only on
 client STEP frames; the default is a 100ms timer. The server runs until
 a client sends SHUTDOWN, then dumps metrics to `--metrics-out`.
-`--io reactor` (the default) multiplexes all connections onto a fixed
-pool of event-loop threads (`--io-threads N`, 0 = auto); `--io threads`
-keeps the legacy two-threads-per-connection backend.
+All connections are multiplexed onto a fixed pool of event-loop
+threads (`--io-threads N`, 0 = auto).
 
 `sim` runs the deterministic fault-injection harness (DESIGN.md §13):
 one seed generates a schedule of moves, churn, query turnover, and

@@ -1,8 +1,8 @@
 //! The per-query evaluation step, factored out of the processor so every
-//! execution engine — the serial [`Processor`], its scoped-thread
-//! `step_parallel`, and the sharded `igern-engine` worker pool — runs the
-//! exact same code path and therefore produces bit-identical answers,
-//! skip decisions, and deterministic metrics.
+//! execution engine — the serial [`Processor`] and the sharded
+//! `igern-engine` worker pool — runs the exact same code path and
+//! therefore produces bit-identical answers, skip decisions, and
+//! deterministic metrics.
 //!
 //! [`Processor`]: crate::processor::Processor
 

@@ -110,8 +110,6 @@ pub struct Processor {
     /// Reusable evaluation workspace for the serial path; once warm, a
     /// steady-state tick allocates nothing.
     scratch: EvalScratch,
-    /// Per-worker scratches for the parallel path, grown on demand.
-    scratch_pool: Vec<EvalScratch>,
     /// Shared-scan batch evaluator for the serial path (used when
     /// [`Processor::set_batch`] enables batching).
     batch_eval: BatchEvaluator,
@@ -131,7 +129,6 @@ impl Processor {
             metrics: None,
             sim_hooks: None,
             scratch: EvalScratch::new(),
-            scratch_pool: Vec::new(),
             batch_eval: BatchEvaluator::new(),
         }
     }
@@ -173,9 +170,9 @@ impl Processor {
         self.store.debug_force_desync(id)
     }
 
-    /// Enable or disable dirty-region skip routing in [`Processor::step`]
-    /// / [`Processor::step_parallel`]. Disabled, every query re-evaluates
-    /// every tick (the force-evaluate oracle).
+    /// Enable or disable dirty-region skip routing in [`Processor::step`].
+    /// Disabled, every query re-evaluates every tick (the force-evaluate
+    /// oracle).
     pub fn set_skip_routing(&mut self, on: bool) {
         self.skip_routing = on;
     }
@@ -428,61 +425,6 @@ impl Processor {
         self.store.drain_dirty();
     }
 
-    /// Apply one tick of updates and re-evaluate every query on
-    /// `threads` worker threads. Queries are independent (each owns its
-    /// monitor state and only reads the store), so answers are identical
-    /// to [`Processor::step`]. Worthwhile when per-query evaluation is
-    /// expensive (CRNN, TPL-repeat, large-k RkNN); for IGERN's ~2 µs
-    /// incremental ticks the thread hand-off overhead exceeds the win —
-    /// measure with the `processor_64_queries` criterion group.
-    pub fn step_parallel(&mut self, updates: &[(ObjectId, Point)], threads: usize) {
-        self.apply_updates(updates);
-        self.tick += 1;
-        self.fire_tick_hooks();
-        self.evaluate_round_parallel(self.skip_routing, threads);
-    }
-
-    /// Parallel form of [`Processor::evaluate_all`] (force-evaluates).
-    ///
-    /// # Panics
-    /// Panics when `threads == 0`.
-    pub fn evaluate_all_parallel(&mut self, threads: usize) {
-        self.evaluate_round_parallel(false, threads);
-    }
-
-    fn evaluate_round_parallel(&mut self, route: bool, threads: usize) {
-        assert!(threads >= 1, "need at least one worker");
-        let tick = self.tick;
-        let eval_start = self.metrics.is_some().then(Instant::now);
-        let mut queries = std::mem::take(&mut self.queries);
-        let chunk = queries.len().div_ceil(threads).max(1);
-        // Persistent per-worker scratches: chunk i always takes pool
-        // slot i, so repeated parallel rounds stay warm.
-        if self.scratch_pool.len() < threads {
-            self.scratch_pool.resize_with(threads, EvalScratch::new);
-        }
-        std::thread::scope(|scope| {
-            for (batch, scratch) in queries.chunks_mut(chunk).zip(self.scratch_pool.iter_mut()) {
-                let store = &self.store;
-                let metrics = self.metrics.clone();
-                scope.spawn(move || {
-                    for q in batch {
-                        if !q.removed {
-                            let sample = evaluate_query(store, &mut q.slot, tick, route, scratch);
-                            if let Some(m) = &metrics {
-                                m.record_sample(&sample);
-                            }
-                            q.history.push(sample);
-                        }
-                    }
-                });
-            }
-        });
-        self.queries = queries;
-        self.observe_round(eval_start);
-        self.store.drain_dirty();
-    }
-
     /// Current tick count (number of `step`/`evaluate_all` rounds).
     pub fn tick(&self) -> u64 {
         self.tick
@@ -627,33 +569,6 @@ mod tests {
         assert_eq!(p.history(q)[2].tick, 2);
         assert_eq!(p.tick(), 2);
         assert_eq!(p.query_object(q), ObjectId(0));
-    }
-
-    #[test]
-    fn parallel_evaluation_matches_sequential() {
-        let pts: Vec<(f64, f64)> = (0..40)
-            .map(|i| ((i * 7 % 40) as f64 / 4.0, (i * 13 % 40) as f64 / 4.0))
-            .collect();
-        let mk = || {
-            let mut p = Processor::new(store(&pts, pts.len()));
-            for i in 0..8u32 {
-                p.add_query(ObjectId(i * 5), Algorithm::IgernMono);
-            }
-            p
-        };
-        let mut seq = mk();
-        let mut par = mk();
-        seq.evaluate_all();
-        par.evaluate_all_parallel(4);
-        let ups: Vec<(ObjectId, Point)> = (0..40u32)
-            .map(|i| (ObjectId(i), Point::new((i % 10) as f64, (i / 4) as f64)))
-            .collect();
-        seq.step(&ups);
-        par.step_parallel(&ups, 4);
-        for qi in 0..8 {
-            assert_eq!(seq.answer(qi), par.answer(qi), "query {qi}");
-        }
-        assert_eq!(seq.tick(), par.tick());
     }
 
     #[test]

@@ -363,6 +363,30 @@ mod tests {
     }
 
     #[test]
+    fn late_wake_never_writes_through_a_reused_fd() {
+        for backend in backends() {
+            let r = Reactor::with_backend(backend).unwrap();
+            let waker = r.waker();
+            drop(r);
+            // The lowest free descriptor numbers are now the ones the
+            // reactor just closed; these pipes take them.
+            let pipes: Vec<_> = (0..4)
+                .map(|_| sys::sys_pipe_nonblocking().unwrap())
+                .collect();
+            waker.wake();
+            for &(rx, tx) in &pipes {
+                let mut buf = [0u8; 8];
+                assert!(
+                    sys::sys_read(rx, &mut buf).is_err(),
+                    "{backend:?}: a wake after the reactor dropped reached an unrelated fd"
+                );
+                sys::sys_close(rx);
+                sys::sys_close(tx);
+            }
+        }
+    }
+
+    #[test]
     fn timer_fires_and_rearm_supersedes() {
         for backend in backends() {
             let mut r = Reactor::with_backend(backend).unwrap();

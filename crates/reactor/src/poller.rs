@@ -1,10 +1,10 @@
 //! The two readiness backends behind one enum: raw `epoll` on Linux
 //! and a portable `poll(2)` fallback everywhere unix.
 //!
-//! Both backends own their wakeup fd (an eventfd on Linux, the read
-//! end of a nonblocking pipe otherwise) and drain it internally: a
-//! wakeup never surfaces as a caller-visible event, it just makes the
-//! wait return with [`WaitOutcome::woken`] set.
+//! Both backends drain their wakeup fd (an eventfd on Linux, the read
+//! end of a nonblocking pipe otherwise) internally: a wakeup never
+//! surfaces as a caller-visible event, it just makes the wait return
+//! with [`WaitOutcome::woken`] set.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,14 +29,15 @@ pub struct WaitOutcome {
 /// coalescing flag (see [`crate::Waker::wake`]).
 pub(crate) struct WakeShared {
     /// Fd written to force the wait to return (eventfd or pipe write
-    /// end).
+    /// end). Owned here and closed with the last handle, never with
+    /// the poller: a `Waker` may outlive its reactor, and a wake
+    /// through a closed descriptor number would land in whatever file
+    /// has reused it since.
     write_fd: sys::Fd,
     /// True while a wake is pending and not yet consumed — further
     /// wakes skip the syscall, which is what batches N enqueues into
     /// one `write(2)`.
     pub(crate) armed: AtomicBool,
-    /// Pipe backends must close the write end separately.
-    owns_write_fd: bool,
 }
 
 impl WakeShared {
@@ -51,9 +52,7 @@ impl WakeShared {
 
 impl Drop for WakeShared {
     fn drop(&mut self) {
-        if self.owns_write_fd {
-            sys::sys_close(self.write_fd);
-        }
+        sys::sys_close(self.write_fd);
     }
 }
 
@@ -185,8 +184,7 @@ fn drain_wake_fd(fd: sys::Fd) {
 #[cfg(any(target_os = "linux", target_os = "android"))]
 pub(crate) struct EpollPoller {
     epfd: sys::Fd,
-    /// The eventfd, registered level-triggered under `WAKE_DATA`.
-    wake_fd: sys::Fd,
+    /// Holds the eventfd, registered level-triggered under `WAKE_DATA`.
     wake: Arc<WakeShared>,
     buf: Vec<sys::epoll_event>,
 }
@@ -211,12 +209,9 @@ impl EpollPoller {
         }
         Ok(EpollPoller {
             epfd,
-            wake_fd,
             wake: Arc::new(WakeShared {
                 write_fd: wake_fd,
                 armed: AtomicBool::new(false),
-                // The eventfd is closed as `wake_fd` below.
-                owns_write_fd: false,
             }),
             buf: vec![sys::epoll_event { events: 0, data: 0 }; 256],
         })
@@ -256,7 +251,7 @@ impl EpollPoller {
             // Copy out of the (possibly packed) struct before use.
             let (bits, data) = (ev.events, ev.data);
             if data == WAKE_DATA {
-                drain_wake_fd(self.wake_fd);
+                drain_wake_fd(self.wake.write_fd);
                 self.wake.armed.store(false, Ordering::Release);
                 outcome.woken = true;
                 continue;
@@ -284,7 +279,7 @@ impl EpollPoller {
 #[cfg(any(target_os = "linux", target_os = "android"))]
 impl Drop for EpollPoller {
     fn drop(&mut self) {
-        sys::sys_close(self.wake_fd);
+        // The eventfd belongs to `wake` (see `WakeShared::write_fd`).
         sys::sys_close(self.epfd);
     }
 }
@@ -317,7 +312,6 @@ impl PollPoller {
             wake: Arc::new(WakeShared {
                 write_fd: tx,
                 armed: AtomicBool::new(false),
-                owns_write_fd: true,
             }),
             fds: Vec::new(),
         })

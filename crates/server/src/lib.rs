@@ -5,7 +5,8 @@
 //!
 //! * **streaming ingestion** — clients push `UPSERT_OBJECT` /
 //!   `REMOVE_OBJECT` frames; mutations land in one bounded ingest queue
-//!   (arrival order preserved, blocking send = backpressure) and are
+//!   (arrival order preserved, a full queue pauses the sender's reads =
+//!   backpressure) and are
 //!   applied to the [`SpatialStore`]
 //!   immediately, so the dirty-cell journal keeps skip routing sound;
 //! * **query subscriptions** — `SUBSCRIBE_QUERY` registers any of the
@@ -27,7 +28,7 @@
 //! [`TickRunner`]: igern_engine::TickRunner
 
 use std::net::{TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -42,7 +43,6 @@ use igern_engine::{Placement, TickRunner};
 use igern_geom::Aabb;
 
 pub mod client;
-mod conn;
 /// The wire codec, re-exported from [`igern_proto`] (extracted so the
 /// WAL crate can encode log records with the same frames without
 /// depending on the server).
@@ -62,8 +62,6 @@ pub use transport::{
 
 pub(crate) use tick::Ingest;
 
-use conn::{reader_loop, Connection};
-use rio::ConnHandle;
 use tick::TickThread;
 
 /// What to do when a connection's outbound queue overflows.
@@ -86,53 +84,6 @@ impl SlowConsumerPolicy {
             "coalesce" => Some(SlowConsumerPolicy::Coalesce),
             _ => None,
         }
-    }
-}
-
-/// Which I/O runtime serves connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoBackend {
-    /// Two OS threads per connection (blocking reader + writer).
-    /// Simple and battle-tested, but thread count scales with
-    /// subscribers — fine to a few hundred connections.
-    Threads,
-    /// A fixed pool of event-loop threads driving non-blocking
-    /// connection state machines (epoll, `poll(2)` fallback). The
-    /// default: thread count is constant at 10k subscribers.
-    Reactor,
-}
-
-impl IoBackend {
-    /// Parse a CLI-style name (`threads` | `reactor`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "threads" => Some(IoBackend::Threads),
-            "reactor" => Some(IoBackend::Reactor),
-            _ => None,
-        }
-    }
-
-    /// The CLI-style name, inverse of [`IoBackend::parse`].
-    pub fn name(self) -> &'static str {
-        match self {
-            IoBackend::Threads => "threads",
-            IoBackend::Reactor => "reactor",
-        }
-    }
-
-    /// The default backend, overridable via `IGERN_TEST_IO` so the CI
-    /// matrix can run every suite against either runtime unchanged.
-    pub fn default_from_env() -> Self {
-        std::env::var("IGERN_TEST_IO")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or(IoBackend::Reactor)
-    }
-}
-
-impl Default for IoBackend {
-    fn default() -> Self {
-        Self::default_from_env()
     }
 }
 
@@ -168,29 +119,16 @@ pub struct ServerConfig {
     pub outbound_queue_frames: usize,
     /// Overflow policy for slow consumers.
     pub slow_consumer: SlowConsumerPolicy,
-    /// I/O runtime serving connections (default [`IoBackend::Reactor`],
-    /// overridable via `IGERN_TEST_IO`).
-    pub io: IoBackend,
-    /// Event-loop threads for the reactor backend; `0` = auto
-    /// (`min(4, cpus)`). Ignored by the threaded backend.
+    /// I/O event-loop threads; `0` = auto (`min(4, cpus)`).
     pub io_threads: usize,
-    /// Graceful-shutdown drain deadline for the reactor backend: after
-    /// the final tick, loops keep flushing outbound queues at most this
-    /// long before cutting slow consumers off.
+    /// Graceful-shutdown drain deadline: after the final tick, loops
+    /// keep flushing outbound queues at most this long before cutting
+    /// slow consumers off.
     pub shutdown_drain: Duration,
     /// `SO_SNDBUF` for accepted TCP sockets, `None` = OS default. The
     /// partial-write tests shrink this to force short writes through
     /// the connection state machines; the kernel clamps to its minimum.
     pub tcp_send_buffer: Option<u32>,
-    /// *Legacy, threaded backend only:* socket read poll interval —
-    /// blocking reader threads wake this often to notice shutdown.
-    /// After >1s without a frame a reader backs off to 1s polls (and
-    /// restores this interval on the next frame). The reactor backend
-    /// is readiness-driven and never read-polls.
-    pub read_timeout: Duration,
-    /// Socket write timeout (a blocked write past this kills the
-    /// connection).
-    pub write_timeout: Duration,
     /// Simulation fault-injection hooks, forwarded to the tick runner
     /// and fired by the tick thread (see [`igern_core::hooks::SimHooks`]).
     /// `None` in production.
@@ -213,12 +151,9 @@ impl std::fmt::Debug for ServerConfig {
             .field("ingest_queue_frames", &self.ingest_queue_frames)
             .field("outbound_queue_frames", &self.outbound_queue_frames)
             .field("slow_consumer", &self.slow_consumer)
-            .field("io", &self.io)
             .field("io_threads", &self.io_threads)
             .field("shutdown_drain", &self.shutdown_drain)
             .field("tcp_send_buffer", &self.tcp_send_buffer)
-            .field("read_timeout", &self.read_timeout)
-            .field("write_timeout", &self.write_timeout)
             .field("sim_hooks", &self.sim_hooks.as_ref().map(|_| "<installed>"))
             .field("wal", &self.wal)
             .finish()
@@ -237,12 +172,9 @@ impl Default for ServerConfig {
             ingest_queue_frames: 4096,
             outbound_queue_frames: 1024,
             slow_consumer: SlowConsumerPolicy::Disconnect,
-            io: IoBackend::default_from_env(),
             io_threads: 0,
             shutdown_drain: Duration::from_secs(2),
             tcp_send_buffer: None,
-            read_timeout: Duration::from_millis(50),
-            write_timeout: Duration::from_secs(5),
             sim_hooks: None,
             wal: None,
         }
@@ -266,7 +198,7 @@ pub struct ServerMetrics {
     pub slow_consumer_total: Counter,
     pub protocol_errors_total: Counter,
     /// Outbound-queue mutex poison recoveries (a thread panicked while
-    /// holding the lock; the queue stays usable — see `conn.rs`).
+    /// holding the lock; the queue stays usable — see `rio.rs`).
     pub lock_poisoned_total: Counter,
     /// Unknown-frame-type payloads skipped for forward compatibility.
     pub frames_skipped_total: Counter,
@@ -361,17 +293,8 @@ pub struct RecoveryInfo {
     pub report: igern_wal::RecoveryReport,
 }
 
-/// The I/O side of a running server, one arm per [`IoBackend`].
-enum IoRuntime {
-    /// Acceptor thread + a reader/writer thread pair per connection.
-    Threads { acceptor: Option<JoinHandle<()>> },
-    /// Fixed pool of event-loop threads (acceptor runs on loop 0).
-    Reactor { pool: rio::ReactorPool },
-}
-
-/// A running server: the tick thread that owns the engine, plus an I/O
-/// runtime — per-connection reader/writer threads (`threads`) or a
-/// fixed event-loop pool (`reactor`, the default).
+/// A running server: the tick thread that owns the engine, plus a
+/// fixed pool of I/O event-loop threads (the acceptor runs on loop 0).
 pub struct Server {
     addr: std::net::SocketAddr,
     ingest: SyncSender<Ingest>,
@@ -380,7 +303,7 @@ pub struct Server {
     recovery: Option<RecoveryInfo>,
     registry: MetricsRegistry,
     metrics: ServerMetrics,
-    io: IoRuntime,
+    pool: rio::ReactorPool,
     ticker: Option<JoinHandle<()>>,
 }
 
@@ -411,8 +334,8 @@ impl Server {
 
     /// Serve on an already-bound [`Listener`] — the transport-generic
     /// entry point. The simulation harness passes the in-process memory
-    /// listener here to run the whole server (acceptor, connection
-    /// threads, tick thread) without any ports.
+    /// listener here to run the whole server (event loops, tick
+    /// thread) without any ports.
     pub fn start_on(
         listener: Listener,
         store: SpatialStore,
@@ -485,35 +408,15 @@ impl Server {
                 .expect("spawn tick thread")
         };
 
-        let io = match cfg.io {
-            IoBackend::Threads => {
-                let tx = tx.clone();
-                let shutdown = Arc::clone(&shutdown);
-                let metrics = metrics.clone();
-                let cfg = cfg.clone();
-                let acceptor = std::thread::Builder::new()
-                    .name("igern-accept".into())
-                    .spawn(move || {
-                        accept_loop(listener, tx, next_sid, shutdown, cfg, metrics);
-                    })
-                    .expect("spawn acceptor thread");
-                IoRuntime::Threads {
-                    acceptor: Some(acceptor),
-                }
-            }
-            IoBackend::Reactor => {
-                let pool = rio::start_pool(
-                    listener,
-                    tx.clone(),
-                    next_sid,
-                    Arc::clone(&shutdown),
-                    cfg.clone(),
-                    metrics.clone(),
-                    &registry,
-                )?;
-                IoRuntime::Reactor { pool }
-            }
-        };
+        let pool = rio::start_pool(
+            listener,
+            tx.clone(),
+            next_sid,
+            Arc::clone(&shutdown),
+            cfg.clone(),
+            metrics.clone(),
+            &registry,
+        )?;
 
         Ok(Server {
             addr: local,
@@ -523,7 +426,7 @@ impl Server {
             recovery,
             registry,
             metrics,
-            io,
+            pool,
             ticker: Some(ticker),
         })
     }
@@ -561,14 +464,12 @@ impl Server {
     /// evaluated in one final tick and pushed before connections close.
     pub fn shutdown(&self) {
         // Queue the request; if the queue is full or the tick thread is
-        // already gone, fall back to the flag (the acceptor and readers
-        // watch it, and the tick loop exits when every sender is gone).
+        // already gone, fall back to the flag (the event loops watch
+        // it, and the tick loop exits when every sender is gone).
         let _ = self.ingest.try_send(Ingest::ShutdownRequested);
         self.shutdown.store(true, Ordering::Release);
-        if let IoRuntime::Reactor { pool } = &self.io {
-            // Loops only observe the flag when awake: stop accepting now.
-            pool.wake_all();
-        }
+        // Loops only observe the flag when awake: stop accepting now.
+        self.pool.wake_all();
     }
 
     /// Block until the server has fully stopped (all threads joined).
@@ -577,19 +478,10 @@ impl Server {
             let _ = h.join();
         }
         self.shutdown.store(true, Ordering::Release);
-        match &mut self.io {
-            IoRuntime::Threads { acceptor } => {
-                if let Some(h) = acceptor.take() {
-                    let _ = h.join();
-                }
-            }
-            IoRuntime::Reactor { pool } => {
-                // The final tick has queued its pushes; drain them under
-                // the bounded deadline, then join the loops.
-                pool.begin_drain();
-                pool.join();
-            }
-        }
+        // The final tick has queued its pushes; drain them under the
+        // bounded deadline, then join the loops.
+        self.pool.begin_drain();
+        self.pool.join();
     }
 
     /// [`shutdown`](Server::shutdown) then [`wait`](Server::wait).
@@ -612,76 +504,5 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn accept_loop(
-    listener: Listener,
-    ingest: SyncSender<Ingest>,
-    next_sid: Arc<AtomicU32>,
-    shutdown: Arc<AtomicBool>,
-    cfg: ServerConfig,
-    metrics: ServerMetrics,
-) {
-    let next_conn = AtomicU64::new(1);
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let stream = match listener.accept() {
-            Ok(stream) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        // Per-socket deadlines: reads poll (readers must notice
-        // shutdown), writes hard-timeout (a wedged peer cannot pin a
-        // writer thread forever).
-        let _ = stream.set_read_timeout(Some(cfg.read_timeout));
-        let _ = stream.set_write_timeout(Some(cfg.write_timeout));
-        let _ = stream.set_nodelay(true);
-        if let (Some(bytes), Some(fd)) = (cfg.tcp_send_buffer, stream.raw_fd()) {
-            let _ = igern_reactor::sys::set_send_buffer(fd, bytes as std::ffi::c_int);
-        }
-
-        let id = next_conn.fetch_add(1, Ordering::Relaxed);
-        metrics.connections_total.inc();
-        let read_half = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        let conn = Arc::new(Connection::new(id, stream));
-        if ingest
-            .send(Ingest::NewConn(ConnHandle::Thread(Arc::clone(&conn))))
-            .is_err()
-        {
-            return; // tick thread gone: shutting down
-        }
-        metrics.ingest_enqueued_total.inc();
-
-        {
-            let conn = Arc::clone(&conn);
-            let metrics = metrics.clone();
-            let _ = std::thread::Builder::new()
-                .name(format!("igern-write-{id}"))
-                .spawn(move || conn.writer_loop(&metrics));
-        }
-        {
-            let ingest = ingest.clone();
-            let next_sid = Arc::clone(&next_sid);
-            let shutdown = Arc::clone(&shutdown);
-            let cfg = cfg.clone();
-            let metrics = metrics.clone();
-            let _ = std::thread::Builder::new()
-                .name(format!("igern-read-{id}"))
-                .spawn(move || {
-                    reader_loop(conn, read_half, ingest, next_sid, shutdown, &cfg, &metrics)
-                });
-        }
     }
 }

@@ -1,28 +1,29 @@
-//! Reactor-backed serving: connection state machines on a small fixed
+//! The server's I/O runtime: connection state machines on a small fixed
 //! pool of event-loop threads.
 //!
-//! The threaded backend (`conn.rs`) spends two OS threads per accepted
-//! socket; this module replaces them with `io_threads` event loops
-//! (default `min(4, cpus)`), each running an [`igern_reactor::Reactor`]
-//! over non-blocking streams:
+//! `io_threads` event loops (default `min(4, cpus)`) each run an
+//! [`igern_reactor::Reactor`] over non-blocking streams, so the thread
+//! count stays constant however many sockets are accepted:
 //!
 //! * **reads** — the resumable [`FrameReader`] is driven incrementally
 //!   on readiness; `WouldBlock` parks the state machine until the next
-//!   readable event. The handshake, inline `PING`, and frame→[`Ingest`]
-//!   mapping are the same as the threaded reader's.
-//! * **ingest backpressure** — the threaded reader blocks on the
-//!   bounded ingest queue; an event loop must not. A frame that does
-//!   not fit is *parked* on its connection, read interest is dropped,
-//!   and delivery is retried on a short reactor timer — per-connection
+//!   readable event. The loop enforces the `HELLO` handshake, answers
+//!   `PING` inline, maps every mutating frame — in arrival order — to
+//!   an [`Ingest`] item, and turns a protocol violation into one
+//!   `ERROR` frame plus a connection close, never a panic.
+//! * **ingest backpressure** — the ingest queue is bounded and an
+//!   event loop must not block on it. A frame that does not fit is
+//!   *parked* on its connection, read interest is dropped, and
+//!   delivery is retried on a short reactor timer — per-connection
 //!   arrival order is preserved because a parked connection reads
 //!   nothing further.
 //! * **writes** — each connection owns a queue of encoded frames with a
 //!   byte offset into the head frame; flushes run until `WouldBlock`,
 //!   short writes resume on the next writable event (`EPOLLOUT` is
 //!   registered only while the queue is non-empty). The slow-consumer
-//!   policies are enforced as frame-count watermarks at enqueue time,
-//!   exactly like the threaded queue: `disconnect`/`coalesce` at
-//!   `outbound_queue_frames`, hard kill at 4× for control traffic.
+//!   policies are enforced as frame-count watermarks at enqueue time:
+//!   `disconnect`/`coalesce` at `outbound_queue_frames`, hard kill at
+//!   4× for control traffic.
 //! * **tick fan-out** — the tick thread enqueues frames under each
 //!   connection's mutex and schedules the connection on its loop's
 //!   pending-flush list (deduplicated per connection), then wakes the
@@ -30,9 +31,8 @@
 //!   fanning out to hundreds of connections on one loop costs one
 //!   `write(2)`, not hundreds.
 //! * **shutdown** — graceful shutdown drains in-flight outbound queues
-//!   with a bounded deadline (`shutdown_drain`) instead of relying on
-//!   per-connection writer threads; a consumer that cannot drain in
-//!   time is cut off at the deadline.
+//!   with a bounded deadline (`shutdown_drain`); a consumer that cannot
+//!   drain in time is cut off at the deadline.
 //!
 //! The in-process memory transport has no fd: those connections
 //! register as external readiness sources, with the transport's notify
@@ -52,7 +52,6 @@ use igern_core::obs::{
 };
 use igern_reactor::{Backend, ExternalHandle, Interest, Mode, Reactor, Token};
 
-use crate::conn::{Connection, PushOutcome};
 use crate::proto::{ErrorCode, Frame, FrameError, FrameReader, ReadOutcome, PROTOCOL_VERSION};
 use crate::transport::{Listener, ReadyNotify, Stream};
 use crate::{Ingest, ServerConfig, ServerMetrics, SlowConsumerPolicy};
@@ -64,8 +63,8 @@ const LISTENER_TOKEN: u64 = u64::MAX - 1;
 /// How soon a parked ingest delivery is retried.
 const PARK_RETRY: Duration = Duration::from_millis(1);
 
-/// Reactor-backend instruments, registered under
-/// `igern_server_reactor_*` in the shared registry.
+/// Event-loop instruments, registered under `igern_server_reactor_*`
+/// in the shared registry.
 #[derive(Clone)]
 pub struct ReactorMetrics {
     /// Readiness events delivered per event-loop wakeup.
@@ -93,67 +92,6 @@ impl ReactorMetrics {
     }
 }
 
-/// Either backend's per-connection handle, as seen by the tick thread.
-/// The tick code is backend-agnostic: both arms expose the same queue
-/// semantics ([`PushOutcome`], watermarks, graceful close).
-#[derive(Clone)]
-pub(crate) enum ConnHandle {
-    /// Threaded backend: condvar queue drained by a writer thread.
-    Thread(Arc<Connection>),
-    /// Reactor backend: byte queue flushed by an event loop.
-    Reactor(Arc<RConn>),
-}
-
-impl ConnHandle {
-    pub fn id(&self) -> u64 {
-        match self {
-            ConnHandle::Thread(c) => c.id,
-            ConnHandle::Reactor(c) => c.id,
-        }
-    }
-
-    pub fn is_dead(&self) -> bool {
-        match self {
-            ConnHandle::Thread(c) => c.is_dead(),
-            ConnHandle::Reactor(c) => c.is_dead(),
-        }
-    }
-
-    pub fn push_control(&self, frame: Frame, cap: usize, metrics: &ServerMetrics) {
-        match self {
-            ConnHandle::Thread(c) => c.push_control(frame, cap, metrics),
-            ConnHandle::Reactor(c) => c.push_control(frame, cap, metrics),
-        }
-    }
-
-    pub fn push_tick_batch(
-        &self,
-        batch: Vec<Frame>,
-        cap: usize,
-        policy: SlowConsumerPolicy,
-        metrics: &ServerMetrics,
-    ) -> PushOutcome {
-        match self {
-            ConnHandle::Thread(c) => c.push_tick_batch(batch, cap, policy, metrics),
-            ConnHandle::Reactor(c) => c.push_tick_batch(batch, cap, policy, metrics),
-        }
-    }
-
-    pub fn push_forced(&self, batch: Vec<Frame>, metrics: &ServerMetrics) -> PushOutcome {
-        match self {
-            ConnHandle::Thread(c) => c.push_forced(batch, metrics),
-            ConnHandle::Reactor(c) => c.push_forced(batch, metrics),
-        }
-    }
-
-    pub fn close_after_flush(&self) {
-        match self {
-            ConnHandle::Thread(c) => c.close_after_flush(),
-            ConnHandle::Reactor(c) => c.close_after_flush(),
-        }
-    }
-}
-
 /// One encoded outbound frame awaiting flush.
 struct OutFrame {
     bytes: Vec<u8>,
@@ -170,8 +108,20 @@ struct OutState {
     head_off: usize,
 }
 
-/// Reactor-backend connection state shared between its event loop and
-/// the tick thread.
+/// Result of pushing a tick batch into a connection's outbound queue.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum PushOutcome {
+    /// The batch is queued.
+    Delivered,
+    /// Coalesce policy fired: queued tick traffic was dropped and the
+    /// batch was NOT queued — re-push full snapshots with
+    /// [`RConn::push_forced`].
+    NeedSnapshot,
+    /// The connection is dead (or the disconnect policy just killed it).
+    Dead,
+}
+
+/// Connection state shared between its event loop and the tick thread.
 pub(crate) struct RConn {
     pub id: u64,
     /// Slab slot (== token) on the owning loop.
@@ -188,6 +138,10 @@ pub(crate) struct RConn {
 }
 
 impl RConn {
+    /// Lock the outbound queue, recovering from poison instead of
+    /// propagating it: the queue is consistent at every lock boundary,
+    /// so one panicking thread must cost at most its own connection.
+    /// Recoveries are counted in `ServerMetrics::lock_poisoned_total`.
     fn lock_out(&self, metrics: &ServerMetrics) -> MutexGuard<'_, OutState> {
         self.out.lock().unwrap_or_else(|e: PoisonError<_>| {
             metrics.lock_poisoned_total.inc();
@@ -231,8 +185,10 @@ impl RConn {
         self.home.waker.wake();
     }
 
-    /// Same contract as [`Connection::push_control`]: never shed by
-    /// coalescing, hard kill past `4 × cap`.
+    /// Queue a control frame (ack, error, pong) — never shed by
+    /// coalescing. Control traffic is bounded by the peer's own request
+    /// rate, but a peer that floods requests while never reading replies
+    /// is killed past `4 × cap`, regardless of policy.
     pub fn push_control(self: &Arc<Self>, frame: Frame, cap: usize, metrics: &ServerMetrics) {
         let mut q = self.lock_out(metrics);
         if self.is_dead() {
@@ -253,9 +209,8 @@ impl RConn {
         self.schedule();
     }
 
-    /// Same contract as [`Connection::push_tick_batch`]: the
-    /// slow-consumer policy fires when the queue watermark would be
-    /// crossed.
+    /// Queue one tick's push batch; the slow-consumer policy fires
+    /// when the queue watermark would be crossed.
     pub fn push_tick_batch(
         self: &Arc<Self>,
         batch: Vec<Frame>,
@@ -303,8 +258,9 @@ impl RConn {
         PushOutcome::Delivered
     }
 
-    /// Same contract as [`Connection::push_forced`]: post-coalesce
-    /// snapshots bypass the cap (bounded by one tick's frames).
+    /// Queue a snapshot batch after a coalesce, bypassing the cap (the
+    /// queue holds no tick traffic then, so the overshoot is bounded by
+    /// one tick's frames).
     pub fn push_forced(
         self: &Arc<Self>,
         batch: Vec<Frame>,
@@ -705,7 +661,7 @@ impl IoLoop {
             write_notify_on: false,
             cur_interest: Interest::NONE,
             greeted: false,
-            parked: Some(Ingest::NewConn(ConnHandle::Reactor(conn))),
+            parked: Some(Ingest::NewConn(conn)),
             read_done: false,
             announced_closed: false,
         };
@@ -794,7 +750,7 @@ impl IoLoop {
     }
 
     /// Drive the frame reader until it goes idle, parking on ingest
-    /// backpressure. Mirrors `conn::reader_loop` decision for decision.
+    /// backpressure.
     fn read_slot(&mut self, slot: usize) {
         loop {
             let Some(entry) = self.entries.get_mut(slot).and_then(Option::as_mut) else {
@@ -965,8 +921,7 @@ impl IoLoop {
 
     /// The receive side is finished (EOF / error / protocol close):
     /// announce `Ingest::Closed` exactly once (parking it under
-    /// backpressure) and request a graceful flush, as the threaded
-    /// reader does on exit.
+    /// backpressure) and request a graceful flush.
     fn finish_read(&mut self, slot: usize) {
         let Some(entry) = self.entries.get_mut(slot).and_then(Option::as_mut) else {
             return;

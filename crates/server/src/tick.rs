@@ -26,9 +26,8 @@ use igern_wal::{
     answer_digest, prune_snapshots, remove_all_segments, SnapshotData, SubEntry, WalWriter,
 };
 
-use crate::conn::PushOutcome;
 use crate::proto::{ErrorCode, Frame};
-use crate::rio::ConnHandle;
+use crate::rio::{PushOutcome, RConn};
 use crate::{ServerConfig, ServerMetrics, TickMode};
 
 /// Connection-id sentinel for *orphan* subscriptions restored by WAL
@@ -38,11 +37,17 @@ use crate::{ServerConfig, ServerMetrics, TickMode};
 /// instead of registering a second identical query.
 const ORPHAN_CONN: u64 = 0;
 
+/// Per-subscription samples the runner retains. The server never reads
+/// raw samples back, and unbounded retention grows by one `TickSample`
+/// per subscription per tick for the life of the process.
+/// `History::stats` still folds every sample. (Recovered subscriptions
+/// were registered under `igern_wal::recover`'s own equal bound.)
+const HISTORY_SAMPLES: usize = 8;
+
 /// One item of the ingest queue, in arrival order.
 pub(crate) enum Ingest {
-    /// A new accepted connection (from the acceptor thread or an I/O
-    /// event loop, depending on the backend).
-    NewConn(ConnHandle),
+    /// A new accepted connection, from its I/O event loop.
+    NewConn(Arc<RConn>),
     /// `UPSERT_OBJECT`.
     Upsert {
         conn: u64,
@@ -71,7 +76,7 @@ pub(crate) enum Ingest {
     Step,
     /// A client sent `SHUTDOWN`, or the local handle asked for it.
     ShutdownRequested,
-    /// The reader thread exited; tear the connection down.
+    /// The connection's receive side finished; tear it down.
     Closed(u64),
     /// Test hook ([`crate::Server::debug_desync_sub`]): drop a sid from
     /// the sub table without touching its connection's sub list,
@@ -97,7 +102,7 @@ struct Sub {
 }
 
 struct ConnState {
-    conn: ConnHandle,
+    conn: Arc<RConn>,
     /// Subscriptions owned by this connection, in sid order.
     subs: Vec<u32>,
 }
@@ -119,7 +124,7 @@ pub(crate) struct TickThread {
     /// Logical-tick offset: the runner restarts at 0 after recovery,
     /// so every wire-visible tick is `tick_base + runner.tick()`.
     tick_base: u64,
-    /// Subscription-id allocator, shared with the reader threads;
+    /// Subscription-id allocator, shared with the I/O event loops;
     /// snapshotted so recovery never reuses a sid.
     next_sid: Arc<AtomicU32>,
 }
@@ -143,7 +148,7 @@ pub(crate) struct DurableState {
 
 impl TickThread {
     pub fn new(
-        runner: TickRunner,
+        mut runner: TickRunner,
         cfg: ServerConfig,
         metrics: ServerMetrics,
         shutdown: Arc<AtomicBool>,
@@ -151,6 +156,7 @@ impl TickThread {
         durable: Option<DurableState>,
         next_sid: Arc<AtomicU32>,
     ) -> Self {
+        runner.set_history_capacity(Some(HISTORY_SAMPLES));
         let (wal, tick_base, subs) = match durable {
             None => (None, 0, BTreeMap::new()),
             Some(d) => {
@@ -235,7 +241,7 @@ impl TickThread {
                 Ingest::NewConn(conn) => {
                     self.metrics.ingest_dequeued_total.inc();
                     self.conns.insert(
-                        conn.id(),
+                        conn.id,
                         ConnState {
                             conn,
                             subs: Vec::new(),
@@ -579,7 +585,7 @@ impl TickThread {
 
     /// Tear down a closed connection: every subscription it owned is
     /// removed from the engine. Queued frames (a final ERROR, say) are
-    /// flushed first — `kill()` here would race the writer and eat them.
+    /// flushed first — `kill()` here would race the flush and eat them.
     fn drop_conn(&mut self, id: u64) {
         if let Some(cs) = self.conns.remove(&id) {
             for sid in cs.subs {
@@ -605,8 +611,8 @@ impl TickThread {
         let t0 = Instant::now();
         // Simulation injection point: the runner fires `on_tick` /
         // desyncs itself inside `step`; `on_server_tick` covers the
-        // serving layer (e.g. stalling the tick thread while readers
-        // keep ingesting).
+        // serving layer (e.g. stalling the tick thread while the event
+        // loops keep ingesting).
         if let Some(h) = &self.cfg.sim_hooks {
             h.on_server_tick(self.runner.tick() + 1);
         }
@@ -789,5 +795,40 @@ mod tests {
             (vec![4, 9], vec![3])
         );
         assert_eq!(diff_sorted(&ids(&[7]), &ids(&[7])), (vec![], vec![]));
+    }
+
+    #[test]
+    fn subscription_history_stops_growing_at_the_bound() {
+        let cfg = ServerConfig::default();
+        let mut store = igern_core::SpatialStore::new(cfg.space, cfg.grid, Vec::new());
+        for i in 0..4u32 {
+            let p = Point::new(0.2 + 0.2 * i as f64, 0.5);
+            store.insert(ObjectId(i), ObjectKind::A, p);
+        }
+        let runner = TickRunner::new(store, cfg.workers, cfg.placement);
+        let metrics = ServerMetrics::register(&igern_core::obs::MetricsRegistry::new());
+        let mut t = TickThread::new(
+            runner,
+            cfg,
+            metrics,
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+            None,
+            Arc::new(AtomicU32::new(2)),
+        );
+        t.apply(Ingest::Subscribe {
+            conn: 1,
+            sid: 1,
+            token: 1,
+            anchor: 0,
+            algo: Algorithm::IgernMono,
+            mode: DistanceMode::Euclidean,
+        });
+        let qid = t.subs[&1].qid;
+        for tick in 1..=3 * HISTORY_SAMPLES {
+            t.tick();
+            assert_eq!(t.runner.history(qid).len(), tick.min(HISTORY_SAMPLES));
+        }
+        assert_eq!(t.runner.history(qid).stats().len(), 3 * HISTORY_SAMPLES);
     }
 }

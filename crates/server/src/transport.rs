@@ -1,21 +1,19 @@
 //! Transport abstraction: real TCP sockets or an in-process duplex pipe.
 //!
-//! The server core (connection threads, tick thread, client) is written
+//! The server core (event loops, tick thread, client) is written
 //! against [`Stream`] / [`Listener`], concrete enums over `TcpStream` /
 //! `TcpListener` and the in-memory [`MemStream`] / [`MemListener`]. The
 //! memory transport exists for the deterministic simulation harness
-//! (`igern-sim`): it lets a whole server — acceptor, reader/writer
-//! threads, tick thread — run against clients in the same process with
-//! no ports, while preserving the socket semantics the server relies on:
+//! (`igern-sim`): it lets a whole server — event loops, tick thread —
+//! run against clients in the same process with no ports, while
+//! preserving the socket semantics the server relies on:
 //!
 //! * **bounded buffering** — each direction is a capacity-limited byte
 //!   queue, so a stalled consumer eventually blocks the producer and the
 //!   slow-consumer machinery fires exactly as it would on TCP;
 //! * **timeouts** — reads past the read timeout fail with `WouldBlock`
 //!   (what [`FrameReader`](crate::proto::FrameReader) treats as
-//!   [`Idle`](crate::proto::ReadOutcome::Idle)); writes past the write
-//!   timeout fail with `TimedOut` (what the writer loop treats as a dead
-//!   consumer);
+//!   [`Idle`](crate::proto::ReadOutcome::Idle));
 //! * **half-close** — `shutdown(Write)` lets the peer drain buffered
 //!   bytes and then observe EOF, which is how graceful close works on
 //!   sockets.
@@ -24,8 +22,9 @@
 //! transformation of each written chunk — which is how the simulation
 //! harness injects dropped, duplicated, truncated, and reordered frames
 //! between the server and a victim client without touching protocol
-//! code. Every server write is one whole encoded frame (`write_all` of
-//! `Frame::encode`), so per-chunk taps are per-frame taps.
+//! code. The server offers one whole encoded frame per write and the
+//! nonblocking pipe admits it whole or not at all, so per-chunk taps
+//! are per-frame taps.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -49,7 +48,7 @@ pub type ReadyNotify = Arc<dyn Fn() + Send + Sync>;
 pub const MEM_PIPE_CAPACITY: usize = 1 << 16;
 
 /// One direction of a duplex memory pipe: a bounded byte queue with
-/// blocking reads/writes, timeouts, and close flags for each end.
+/// blocking reads/writes, a read timeout, and close flags for each end.
 struct Pipe {
     inner: Mutex<PipeState>,
     /// Signalled when bytes (or EOF) become available to the reader.
@@ -223,9 +222,9 @@ impl Pipe {
 
     /// Buffer one whole chunk, blocking for space as needed. Called with
     /// post-tap chunks, so partial progress never splits a tap result.
-    fn write_chunk(&self, chunk: &[u8], timeout: Option<Duration>) -> io::Result<()> {
-        let (res, cb) = self.write_chunk_inner(chunk, timeout);
-        // Fire even on error paths: a timed-out write may still have
+    fn write_chunk(&self, chunk: &[u8]) -> io::Result<()> {
+        let (res, cb) = self.write_chunk_inner(chunk);
+        // Fire even on error paths: a failed write may still have
         // buffered a prefix the reader-side loop must hear about.
         if let Some(cb) = cb {
             cb();
@@ -233,11 +232,7 @@ impl Pipe {
         res
     }
 
-    fn write_chunk_inner(
-        &self,
-        chunk: &[u8],
-        timeout: Option<Duration>,
-    ) -> (io::Result<()>, Option<ReadyNotify>) {
+    fn write_chunk_inner(&self, chunk: &[u8]) -> (io::Result<()>, Option<ReadyNotify>) {
         let mut st = self
             .inner
             .lock()
@@ -254,23 +249,10 @@ impl Pipe {
             }
             let space = self.capacity.saturating_sub(st.buf.len());
             if space == 0 {
-                st = match timeout {
-                    None => self
-                        .writable
-                        .wait(st)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner),
-                    Some(d) => {
-                        let (guard, res) = self
-                            .writable
-                            .wait_timeout(st, d)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        if res.timed_out() && guard.buf.len() >= self.capacity && !guard.rx_closed {
-                            let cb = wrote(&guard, off);
-                            return (Err(io::ErrorKind::TimedOut.into()), cb);
-                        }
-                        guard
-                    }
-                };
+                st = self
+                    .writable
+                    .wait(st)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
                 continue;
             }
             let n = space.min(chunk.len() - off);
@@ -350,7 +332,7 @@ impl Pipe {
     }
 
     /// Run the tap (if any) over `buf` and buffer the resulting chunks.
-    fn write(&self, buf: &[u8], timeout: Option<Duration>) -> io::Result<usize> {
+    fn write(&self, buf: &[u8]) -> io::Result<usize> {
         let tapped: Option<Vec<Vec<u8>>> = {
             let mut st = self
                 .inner
@@ -362,10 +344,10 @@ impl Pipe {
             st.tap.as_mut().map(|t| t(buf))
         };
         match tapped {
-            None => self.write_chunk(buf, timeout)?,
+            None => self.write_chunk(buf)?,
             Some(chunks) => {
                 for c in chunks {
-                    self.write_chunk(&c, timeout)?;
+                    self.write_chunk(&c)?;
                 }
             }
         }
@@ -392,7 +374,6 @@ struct MemEndpoint {
     /// Pipe this endpoint writes into.
     tx: Arc<Pipe>,
     read_timeout: Mutex<Option<Duration>>,
-    write_timeout: Mutex<Option<Duration>>,
     /// Reads/writes return `WouldBlock` instead of waiting (shared
     /// across clones, like `TcpStream::set_nonblocking`).
     nonblocking: std::sync::atomic::AtomicBool,
@@ -411,20 +392,11 @@ impl Drop for MemEndpoint {
 pub struct MemStream(Arc<MemEndpoint>);
 
 impl MemStream {
-    /// Per-endpoint timeouts, as on a socket (shared across clones).
+    /// Per-endpoint read timeout, as on a socket (shared across clones).
     pub fn set_read_timeout(&self, d: Option<Duration>) {
         *self
             .0
             .read_timeout
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = d;
-    }
-
-    /// See [`MemStream::set_read_timeout`].
-    pub fn set_write_timeout(&self, d: Option<Duration>) {
-        *self
-            .0
-            .write_timeout
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner) = d;
     }
@@ -470,14 +442,6 @@ impl MemStream {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
-
-    fn write_timeout(&self) -> Option<Duration> {
-        *self
-            .0
-            .write_timeout
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 }
 
 impl Read for &MemStream {
@@ -503,8 +467,7 @@ impl Write for &MemStream {
         {
             return self.0.tx.write_nonblocking(buf);
         }
-        let t = self.write_timeout();
-        self.0.tx.write(buf, t)
+        self.0.tx.write(buf)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -521,14 +484,12 @@ pub fn memory_pair_with_capacity(capacity: usize) -> (MemStream, MemStream) {
         rx: Arc::clone(&b2a),
         tx: Arc::clone(&a2b),
         read_timeout: Mutex::new(None),
-        write_timeout: Mutex::new(None),
         nonblocking: std::sync::atomic::AtomicBool::new(false),
     }));
     let b = MemStream(Arc::new(MemEndpoint {
         rx: a2b,
         tx: b2a,
         read_timeout: Mutex::new(None),
-        write_timeout: Mutex::new(None),
         nonblocking: std::sync::atomic::AtomicBool::new(false),
     }));
     (a, b)
@@ -558,8 +519,8 @@ impl std::fmt::Debug for Stream {
 }
 
 impl Stream {
-    /// A second handle to the same underlying stream (for the split
-    /// reader/writer threads).
+    /// A second handle to the same underlying stream (for split read
+    /// and write halves).
     pub fn try_clone(&self) -> io::Result<Stream> {
         Ok(match self {
             Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
@@ -584,17 +545,6 @@ impl Stream {
             Stream::Tcp(s) => s.set_read_timeout(d),
             Stream::Mem(s) => {
                 s.set_read_timeout(d);
-                Ok(())
-            }
-        }
-    }
-
-    /// Socket write timeout (`None` = block forever).
-    pub fn set_write_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_write_timeout(d),
-            Stream::Mem(s) => {
-                s.set_write_timeout(d);
                 Ok(())
             }
         }
@@ -786,8 +736,8 @@ pub fn memory_listener() -> (MemListener, MemConnector) {
     memory_listener_with_capacity(MEM_PIPE_CAPACITY)
 }
 
-/// Either transport's listener. The accept loop polls, so both arms are
-/// nonblocking (`WouldBlock` when no connection is pending).
+/// Either transport's listener. The acceptor drains it on readiness, so
+/// both arms are nonblocking (`WouldBlock` when no connection is pending).
 pub enum Listener {
     /// A nonblocking TCP listener.
     Tcp(TcpListener),
@@ -899,15 +849,13 @@ mod tests {
     }
 
     #[test]
-    fn full_pipe_times_out_then_drains() {
+    fn write_into_a_full_pipe_completes_once_drained() {
         let (a, b) = memory_pair_with_capacity(4);
-        a.set_write_timeout(Some(Duration::from_millis(5)));
         (&a).write_all(b"1234").unwrap();
-        let err = (&a).write_all(b"5").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        let writer = std::thread::spawn(move || (&a).write_all(b"5"));
         let mut buf = [0u8; 4];
         (&b).read_exact(&mut buf).unwrap();
-        (&a).write_all(b"5").unwrap();
+        writer.join().unwrap().unwrap();
         assert_eq!((&b).read(&mut buf).unwrap(), 1);
         assert_eq!(buf[0], b'5');
     }

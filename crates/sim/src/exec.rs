@@ -556,7 +556,7 @@ impl Served {
     /// the workload connection. The tick thread pushes every delta of
     /// the tick before `TICK_END` on the same FIFO outbound queue, so
     /// once it arrives W's answer state is exactly the post-tick state.
-    /// (A `PING` is *not* a valid barrier here: the reader thread
+    /// (A `PING` is *not* a valid barrier here: the I/O event loop
     /// answers it directly, racing the tick thread.)
     fn step(&mut self, tick: u64) -> Result<(), SimFailure> {
         let fail = |e: ClientError| SimFailure {

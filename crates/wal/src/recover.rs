@@ -29,6 +29,12 @@ use crate::segment::{scan_segment, segment_paths};
 use crate::snapshot::load_newest_snapshot;
 use crate::{answer_digest, state_digest, SubSpec};
 
+/// Per-query samples the recovered runner retains. Nothing in recovery
+/// or serving reads raw samples back, and unbounded retention grows by
+/// one `TickSample` per subscription per tick for the life of the
+/// server. `History::stats` still folds every sample.
+const HISTORY_SAMPLES: usize = 8;
+
 /// One standing query restored by recovery.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveredSub {
@@ -137,6 +143,7 @@ pub fn recover(
         }
     }
     let mut runner = TickRunner::new(store, workers, placement);
+    runner.set_history_capacity(Some(HISTORY_SAMPLES));
     let mut subs: Vec<RecoveredSub> = Vec::new();
     let mut next_sid = 1u32;
     let mut tick = 0u64;
