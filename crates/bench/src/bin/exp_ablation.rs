@@ -16,7 +16,7 @@ use igern_core::baselines::{voronoi_snapshot_with, SiteAcquisition};
 use igern_core::processor::Algorithm;
 use igern_core::prune::PruneGranularity;
 use igern_core::types::ObjectKind;
-use igern_core::{MonoIgern, SpatialStore};
+use igern_core::{EvalScratch, MonoIgern, SpatialStore};
 use igern_grid::{ObjectId, OpCounters};
 use igern_mobgen::{HotspotConfig, Movement, ObjKind, Workload, WorkloadConfig};
 
@@ -117,6 +117,7 @@ fn run_mono_with_granularity(args: &ExpArgs, gran: PruneGranularity) -> (Duratio
         .map(|i| ObjectId((i * workload.len() / args.queries.max(1)) as u32))
         .collect::<Vec<_>>();
     let mut ops = OpCounters::new();
+    let mut scratch = EvalScratch::default();
     let mut monitors: Vec<MonoIgern> = Vec::new();
     let mut total = Duration::ZERO;
     let mut monitored_sum = 0u64;
@@ -124,7 +125,16 @@ fn run_mono_with_granularity(args: &ExpArgs, gran: PruneGranularity) -> (Duratio
     let t0 = Instant::now();
     for &q in &queries {
         let pos = store.position(q).unwrap();
-        let m = MonoIgern::initial_with(store.all(), pos, Some(q), gran, &mut ops);
+        let m = MonoIgern::initial_in_feed(
+            store.all(),
+            None,
+            pos,
+            Some(q),
+            1,
+            gran,
+            &mut ops,
+            &mut scratch,
+        );
         monitored_sum += m.num_monitored() as u64;
         samples += 1;
         monitors.push(m);

@@ -11,7 +11,7 @@ use igern_bench::microtime::{bench, bench_batched};
 use igern_core::baselines::{tpl_snapshot, voronoi_snapshot, Crnn};
 use igern_core::processor::{Algorithm, Processor};
 use igern_core::types::ObjectKind;
-use igern_core::{BiIgern, KnnMonitor, MonoIgern, MonoIgernK, RangeMonitor, SpatialStore};
+use igern_core::{BiIgern, KnnMonitor, MonoIgern, RangeMonitor, SpatialStore};
 use igern_grid::{exists_closer_than, k_nearest, nearest, ObjectId, OpCounters};
 use igern_mobgen::{ObjKind, Workload, WorkloadConfig};
 use igern_rtree::{tpl_snapshot_rtree, RTree};
@@ -82,7 +82,7 @@ fn bench_mono_per_tick() {
     let mut f = fixture(false);
     let q = f.store.position(f.query).unwrap();
     let mut ops = OpCounters::new();
-    let igern0 = MonoIgern::initial(f.store.all(), q, Some(f.query), &mut ops);
+    let igern0 = MonoIgern::initial(f.store.all(), q, Some(f.query), 1, &mut ops);
     let crnn0 = Crnn::initial(f.store.all(), q, Some(f.query), &mut ops);
     // Advance one more tick so the monitors see movement.
     for u in f.world.advance().to_vec() {
@@ -116,7 +116,7 @@ fn bench_mono_per_tick() {
     });
     bench("mono_per_tick", "igern_initial", || {
         let mut ops = OpCounters::new();
-        MonoIgern::initial(f.store.all(), q1, Some(f.query), &mut ops)
+        MonoIgern::initial(f.store.all(), q1, Some(f.query), 1, &mut ops)
     });
 }
 
@@ -129,6 +129,7 @@ fn bench_bi_per_tick() {
         f.store.grid_b(),
         q,
         Some(f.query),
+        1,
         &mut ops,
     );
     for u in f.world.advance().to_vec() {
@@ -162,7 +163,7 @@ fn bench_extensions() {
     let mut f = fixture(false);
     let q = f.store.position(f.query).unwrap();
     let mut ops = OpCounters::new();
-    let krnn0 = MonoIgernK::initial(f.store.all(), q, Some(f.query), 4, &mut ops);
+    let krnn0 = MonoIgern::initial(f.store.all(), q, Some(f.query), 4, &mut ops);
     let knn0 = KnnMonitor::initial(f.store.all(), q, Some(f.query), 8, &mut ops);
     let range0 = RangeMonitor::initial(f.store.all(), q, 25.0, Some(f.query), &mut ops);
     for u in f.world.advance().to_vec() {

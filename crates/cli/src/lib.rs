@@ -1079,7 +1079,7 @@ pub fn render_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             .ok_or_else(|| CliError(format!("query object {q_id} is not indexed by the grid")))
     };
     let mut ops = OpCounters::new();
-    let mut m = igern_core::MonoIgern::initial(&g, q_pos(&g)?, Some(q_id), &mut ops);
+    let mut m = igern_core::MonoIgern::initial(&g, q_pos(&g)?, Some(q_id), 1, &mut ops);
     let mut player = trace.player();
     for t in 0..=ticks {
         if t > 0 {

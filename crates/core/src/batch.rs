@@ -60,21 +60,17 @@ pub struct Feeds<'f> {
 /// with the same candidate logic) and anchor in the same cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BatchClass {
-    /// Monochromatic RNN (IGERN).
-    MonoRnn,
-    /// Monochromatic RkNN at order `k`.
-    MonoRknn(usize),
-    /// Bichromatic RNN (IGERN).
-    BiRnn,
-    /// Bichromatic RkNN at order `k`.
-    BiRknn(usize),
+    /// Monochromatic IGERN at order `k`.
+    Mono(usize),
+    /// Bichromatic IGERN at order `k`.
+    Bi(usize),
 }
 
 impl BatchClass {
     /// Whether the class evaluates against the A-/B-grids (vs. the
     /// all-objects grid).
     fn is_bichromatic(self) -> bool {
-        matches!(self, BatchClass::BiRnn | BatchClass::BiRknn(_))
+        matches!(self, BatchClass::Bi(_))
     }
 }
 

@@ -1,9 +1,7 @@
 //! Continuous bichromatic reverse-nearest-neighbor evaluation
 //! (paper §4: Algorithms 3 and 4) — the first continuous algorithm for
-//! the bichromatic case.
+//! the bichromatic case — at any order `k`.
 
 mod igern;
-mod krnn;
 
 pub use igern::BiIgern;
-pub use krnn::BiIgernK;

@@ -10,6 +10,10 @@
 //! * [`bi::BiIgern`] — continuous bichromatic RNN (Algorithms 3–4), the
 //!   first continuous algorithm for that case: the monitored set `NN_A`
 //!   bounds a region outside which no B-object can be an answer.
+//!
+//!   Both take the query order `k` — the reverse k-NN generalization of
+//!   the journal version — and at `k = 1` are the algorithms as
+//!   published.
 //! * [`baselines::Crnn`] — the six-pie continuous monochromatic monitor of
 //!   Xia & Zhang (ICDE'06), the state of the art the paper compares to.
 //! * [`baselines::tpl_snapshot`] — the snapshot TPL algorithm of Tao et
@@ -47,8 +51,6 @@
 //! * [`knn_monitor`] / [`range_monitor`] — companion continuous k-NN and
 //!   range facilities (the other standing-query types of the processors
 //!   the paper situates itself among).
-//! * [`mono::MonoIgernK`] / [`bi::BiIgernK`] — the reverse k-NN
-//!   generalization (journal-version extension).
 //! * [`render`] — ASCII visualization of regions and occupancy.
 //!
 //! # Example
@@ -66,7 +68,7 @@
 //!
 //! let mut ops = OpCounters::new();
 //! let q = Point::new(50.0, 50.0);
-//! let mut monitor = MonoIgern::initial(&grid, q, None, &mut ops);
+//! let mut monitor = MonoIgern::initial(&grid, q, None, 1, &mut ops);
 //! assert_eq!(monitor.rnn(), &[ObjectId(0), ObjectId(1)]);
 //!
 //! // Object 1 steps between the query and object 0: object 0 is now
@@ -100,13 +102,13 @@ pub mod store;
 pub mod types;
 
 pub use batch::{BatchClass, BatchEvaluator, Feeds, SlotLane};
-pub use bi::{BiIgern, BiIgernK};
+pub use bi::BiIgern;
 pub use eval::{can_skip, evaluate_at, evaluate_query, presample, Presample, QuerySlot};
 pub use history::History;
 pub use hooks::{SharedSimHooks, SimHooks};
 pub use knn_monitor::KnnMonitor;
 pub use monitor::ContinuousMonitor;
-pub use mono::{MonoIgern, MonoIgernK};
+pub use mono::MonoIgern;
 pub use net_monitor::{NetKnnMonitor, NetRknnMonitor};
 pub use netspace::{net_lb, NetPos, NetScratch, NetView, NetworkSpace};
 pub use range_monitor::RangeMonitor;

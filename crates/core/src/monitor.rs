@@ -44,9 +44,9 @@ use igern_grid::{CellSet, Grid, ObjectId, OpCounters};
 
 use crate::baselines::{tpl_snapshot_with, voronoi_snapshot, Crnn, TplAnswer};
 use crate::batch::{BatchClass, Feeds};
-use crate::bi::{BiIgern, BiIgernK};
+use crate::bi::BiIgern;
 use crate::knn_monitor::KnnMonitor;
-use crate::mono::{MonoIgern, MonoIgernK};
+use crate::mono::MonoIgern;
 use crate::net_monitor::{NetKnnMonitor, NetRknnMonitor};
 use crate::processor::Algorithm;
 use crate::prune::PruneGranularity;
@@ -140,13 +140,13 @@ impl Algorithm {
     /// moving object `q_id`.
     pub fn make_monitor(self, q_id: Option<ObjectId>) -> Box<dyn ContinuousMonitor> {
         match self {
-            Algorithm::IgernMono => Box::new(MonoIgernMonitor::new(q_id)),
+            Algorithm::IgernMono => Box::new(MonoIgernMonitor::new(q_id, 1)),
             Algorithm::Crnn => Box::new(CrnnMonitor::new(q_id)),
             Algorithm::TplRepeat => Box::new(TplRepeatMonitor::new(q_id)),
-            Algorithm::IgernBi => Box::new(BiIgernMonitor::new(q_id)),
+            Algorithm::IgernBi => Box::new(BiIgernMonitor::new(q_id, 1)),
             Algorithm::VoronoiRepeat => Box::new(VoronoiRepeatMonitor::new(q_id)),
-            Algorithm::IgernMonoK(k) => Box::new(MonoIgernKMonitor::new(q_id, k)),
-            Algorithm::IgernBiK(k) => Box::new(BiIgernKMonitor::new(q_id, k)),
+            Algorithm::IgernMonoK(k) => Box::new(MonoIgernMonitor::new(q_id, k)),
+            Algorithm::IgernBiK(k) => Box::new(BiIgernMonitor::new(q_id, k)),
             Algorithm::Knn(k) => Box::new(KnnQueryMonitor::new(q_id, k)),
         }
     }
@@ -212,15 +212,17 @@ where
 /// [`MonoIgern`] behind the routable interface.
 pub struct MonoIgernMonitor {
     q_id: Option<ObjectId>,
+    k: usize,
     inner: Option<MonoIgern>,
     watch: CellSet,
 }
 
 impl MonoIgernMonitor {
-    /// A monitor for a query anchored at `q_id`.
-    pub fn new(q_id: Option<ObjectId>) -> Self {
+    /// A monitor for an order-`k` query anchored at `q_id`.
+    pub fn new(q_id: Option<ObjectId>, k: usize) -> Self {
         MonoIgernMonitor {
             q_id,
+            k,
             inner: None,
             watch: CellSet::new(0),
         }
@@ -260,7 +262,7 @@ impl ContinuousMonitor for MonoIgernMonitor {
     }
 
     fn batch_class(&self) -> Option<BatchClass> {
-        Some(BatchClass::MonoRnn)
+        Some(BatchClass::Mono(self.k))
     }
 
     fn initial_feed(
@@ -276,6 +278,7 @@ impl ContinuousMonitor for MonoIgernMonitor {
             feeds.all,
             q,
             self.q_id,
+            self.k,
             PruneGranularity::default(),
             ops,
             scratch,
@@ -320,18 +323,18 @@ impl ContinuousMonitor for MonoIgernMonitor {
     }
 }
 
-/// [`MonoIgernK`] behind the routable interface.
-pub struct MonoIgernKMonitor {
+/// [`BiIgern`] behind the routable interface.
+pub struct BiIgernMonitor {
     q_id: Option<ObjectId>,
     k: usize,
-    inner: Option<MonoIgernK>,
+    inner: Option<BiIgern>,
     watch: CellSet,
 }
 
-impl MonoIgernKMonitor {
-    /// A monitor for an order-`k` query anchored at `q_id`.
+impl BiIgernMonitor {
+    /// A monitor for an order-`k` query anchored at kind-A object `q_id`.
     pub fn new(q_id: Option<ObjectId>, k: usize) -> Self {
-        MonoIgernKMonitor {
+        BiIgernMonitor {
             q_id,
             k,
             inner: None,
@@ -339,149 +342,20 @@ impl MonoIgernKMonitor {
         }
     }
 
+    /// Alive region ∪ monitored A-objects' cells ∪
+    /// `disk(q, 2·R_alive_corner)`.
     fn rebuild_watch(&mut self, store: &SpatialStore, q: Point) {
         let m = self.inner.as_ref().expect("monitor not initialized");
-        self.watch.clone_from(m.alive_cells());
-        add_candidate_closure(
-            store.all(),
-            q,
-            m.candidate_pairs().iter().copied(),
-            &mut self.watch,
-        );
-    }
-}
-
-impl ContinuousMonitor for MonoIgernKMonitor {
-    fn initial(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.initial_feed(store, q, Feeds::default(), ops, scratch);
-    }
-
-    fn incremental(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.incremental_feed(store, q, Feeds::default(), ops, scratch);
-    }
-
-    fn batch_class(&self) -> Option<BatchClass> {
-        Some(BatchClass::MonoRknn(self.k))
-    }
-
-    fn initial_feed(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        feeds: Feeds<'_>,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.inner = Some(MonoIgernK::initial_in_feed(
-            store.all(),
-            feeds.all,
-            q,
-            self.q_id,
-            self.k,
-            ops,
-            scratch,
-        ));
-        self.rebuild_watch(store, q);
-    }
-
-    fn incremental_feed(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        feeds: Feeds<'_>,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.inner
-            .as_mut()
-            .expect("initial must run first")
-            .incremental_in_feed(store.all(), feeds.all, q, ops, scratch);
-        self.rebuild_watch(store, q);
-    }
-
-    fn answer_into(&self, out: &mut Vec<ObjectId>) {
-        out.clear();
-        if let Some(m) = &self.inner {
-            out.extend_from_slice(m.rnn());
-        }
-    }
-
-    fn monitored_cells(&self) -> Option<&CellSet> {
-        self.inner.as_ref().map(|_| &self.watch)
-    }
-
-    fn num_monitored(&self) -> usize {
-        self.inner.as_ref().map_or(0, |m| m.num_monitored())
-    }
-
-    fn region_area(&self, store: &SpatialStore) -> f64 {
         let grid = store.all();
-        let cell_area = grid.space().area() / grid.num_cells() as f64;
-        self.inner
-            .as_ref()
-            .map_or(0.0, |m| m.alive_cells().count() as f64 * cell_area)
-    }
-}
-
-/// [`BiIgern`] behind the routable interface.
-pub struct BiIgernMonitor {
-    q_id: Option<ObjectId>,
-    inner: Option<BiIgern>,
-    watch: CellSet,
-}
-
-/// Shared watch construction for the bichromatic monitors: alive region ∪
-/// monitored A-objects' cells ∪ `disk(q, 2·R_alive_corner)`.
-fn rebuild_bi_watch(
-    store: &SpatialStore,
-    q: Point,
-    alive: &CellSet,
-    monitored: &[(Point, ObjectId)],
-    watch: &mut CellSet,
-) {
-    let grid = store.all();
-    watch.clone_from(alive);
-    let mut r_sq = 0.0f64;
-    for c in alive.iter() {
-        r_sq = r_sq.max(grid.cell_bounds(c).maxdist_sq(q));
-    }
-    grid.add_cells_in_disk(q, 2.0 * r_sq.sqrt(), watch);
-    for &(p, _) in monitored {
-        watch.insert(grid.cell_of_point(p));
-    }
-}
-
-impl BiIgernMonitor {
-    /// A monitor for a query anchored at kind-A object `q_id`.
-    pub fn new(q_id: Option<ObjectId>) -> Self {
-        BiIgernMonitor {
-            q_id,
-            inner: None,
-            watch: CellSet::new(0),
+        self.watch.clone_from(m.alive_cells());
+        let mut r_sq = 0.0f64;
+        for c in m.alive_cells().iter() {
+            r_sq = r_sq.max(grid.cell_bounds(c).maxdist_sq(q));
         }
-    }
-
-    fn rebuild_watch(&mut self, store: &SpatialStore, q: Point) {
-        let m = self.inner.as_ref().expect("monitor not initialized");
-        rebuild_bi_watch(
-            store,
-            q,
-            m.alive_cells(),
-            m.monitored_pairs(),
-            &mut self.watch,
-        );
+        grid.add_cells_in_disk(q, 2.0 * r_sq.sqrt(), &mut self.watch);
+        for &(p, _) in m.monitored_pairs() {
+            self.watch.insert(grid.cell_of_point(p));
+        }
     }
 }
 
@@ -507,7 +381,7 @@ impl ContinuousMonitor for BiIgernMonitor {
     }
 
     fn batch_class(&self) -> Option<BatchClass> {
-        Some(BatchClass::BiRnn)
+        Some(BatchClass::Bi(self.k))
     }
 
     fn initial_feed(
@@ -525,132 +399,8 @@ impl ContinuousMonitor for BiIgernMonitor {
             feeds.b,
             q,
             self.q_id,
-            PruneGranularity::default(),
-            ops,
-            scratch,
-        ));
-        self.rebuild_watch(store, q);
-    }
-
-    fn incremental_feed(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        feeds: Feeds<'_>,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.inner
-            .as_mut()
-            .expect("initial must run first")
-            .incremental_in_feed(
-                store.grid_a(),
-                store.grid_b(),
-                feeds.a,
-                feeds.b,
-                q,
-                ops,
-                scratch,
-            );
-        self.rebuild_watch(store, q);
-    }
-
-    fn answer_into(&self, out: &mut Vec<ObjectId>) {
-        out.clear();
-        if let Some(m) = &self.inner {
-            out.extend_from_slice(m.rnn());
-        }
-    }
-
-    fn monitored_cells(&self) -> Option<&CellSet> {
-        self.inner.as_ref().map(|_| &self.watch)
-    }
-
-    fn num_monitored(&self) -> usize {
-        self.inner.as_ref().map_or(0, |m| m.num_monitored())
-    }
-
-    fn region_area(&self, store: &SpatialStore) -> f64 {
-        let grid = store.all();
-        let cell_area = grid.space().area() / grid.num_cells() as f64;
-        self.inner
-            .as_ref()
-            .map_or(0.0, |m| m.alive_cells().count() as f64 * cell_area)
-    }
-}
-
-/// [`BiIgernK`] behind the routable interface.
-pub struct BiIgernKMonitor {
-    q_id: Option<ObjectId>,
-    k: usize,
-    inner: Option<BiIgernK>,
-    watch: CellSet,
-}
-
-impl BiIgernKMonitor {
-    /// A monitor for an order-`k` query anchored at kind-A object `q_id`.
-    pub fn new(q_id: Option<ObjectId>, k: usize) -> Self {
-        BiIgernKMonitor {
-            q_id,
-            k,
-            inner: None,
-            watch: CellSet::new(0),
-        }
-    }
-
-    fn rebuild_watch(&mut self, store: &SpatialStore, q: Point) {
-        let m = self.inner.as_ref().expect("monitor not initialized");
-        rebuild_bi_watch(
-            store,
-            q,
-            m.alive_cells(),
-            m.monitored_pairs(),
-            &mut self.watch,
-        );
-    }
-}
-
-impl ContinuousMonitor for BiIgernKMonitor {
-    fn initial(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.initial_feed(store, q, Feeds::default(), ops, scratch);
-    }
-
-    fn incremental(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.incremental_feed(store, q, Feeds::default(), ops, scratch);
-    }
-
-    fn batch_class(&self) -> Option<BatchClass> {
-        Some(BatchClass::BiRknn(self.k))
-    }
-
-    fn initial_feed(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        feeds: Feeds<'_>,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.inner = Some(BiIgernK::initial_in_feed(
-            store.grid_a(),
-            store.grid_b(),
-            feeds.a,
-            feeds.b,
-            q,
-            self.q_id,
             self.k,
+            PruneGranularity::default(),
             ops,
             scratch,
         ));
@@ -1050,7 +800,7 @@ mod tests {
         let store = mono_store(&[(5.0, 5.0), (4.0, 5.0), (6.5, 5.0), (1.0, 1.0)]);
         let mut ops = OpCounters::new();
         let q = Point::new(5.0, 5.0);
-        let mut mon = MonoIgernMonitor::new(Some(ObjectId(0)));
+        let mut mon = MonoIgernMonitor::new(Some(ObjectId(0)), 1);
         mon.initial(&store, q, &mut ops, &mut EvalScratch::default());
         let watch = mon.monitored_cells().expect("mono watch is bounded");
         let inner = mon.inner.as_ref().unwrap();

@@ -1,4 +1,5 @@
-//! The monochromatic IGERN monitor.
+//! The monochromatic IGERN monitor, at any order `k` (continuous reverse
+//! `k`-nearest neighbors; `k = 1` is the paper's RNN query).
 //!
 //! One *initial step* (Algorithm 1) runs at query-issue time; an
 //! *incremental step* (Algorithm 2) runs every tick after that. Between
@@ -7,24 +8,40 @@
 //! * the **alive region** — a single bounded set of grid cells around the
 //!   query (vs. six pie regions in CRNN), and
 //! * **`RNNcand`** — the candidate objects whose bisectors bound that
-//!   region (on average ≈3, vs. exactly 6 in CRNN).
+//!   region (on average ≈3 at `k = 1`, vs. exactly 6 in CRNN).
 //!
 //! Everything outside the alive region is provably dominated by some
 //! candidate (Theorem 2, Case 2), so only the region and the candidates
 //! need watching.
+//!
+//! Every step is written in the order-`k` form of the paper's journal
+//! version, which at `k = 1` is Algorithms 1–2 as published: an object
+//! `o` is an RkNN of `q` iff fewer than `k` objects lie strictly closer
+//! to `o` than `q`, so
+//!
+//! * **dominance** needs ≥ `k` monitored candidates strictly closer to an
+//!   object than the query;
+//! * a cell of the **alive region** dies only when ≥ `k` bisectors fully
+//!   exclude it (see [`recompute_alive_k_into`]);
+//! * **verification** counts blockers up to `k` instead of testing for
+//!   one;
+//! * the candidate bound becomes `6k` (at most `k` greedily-inserted
+//!   candidates survive per 60° pie).
 
 use igern_geom::Point;
 use igern_grid::{
-    exists_closer_than_feed, nearest_feed, nearest_undominated_in_cells_feed, CellFeed, CellSet,
+    count_closer_than_feed, nearest_feed, nearest_undominated_in_cells_feed, CellFeed, CellSet,
     Grid, ObjectId, OpCounters,
 };
 
-use crate::prune::{clean_dominated_with, recompute_alive_into, PruneGranularity};
+use crate::prune::{clean_dominated_k_with, recompute_alive_k_into, PruneGranularity};
 use crate::scratch::EvalScratch;
 
-/// Continuous monochromatic RNN query state.
+/// Continuous monochromatic RkNN query state.
 #[derive(Debug, Clone)]
 pub struct MonoIgern {
+    /// The query order.
+    k: usize,
     /// The query object's id inside the grid, when the query is itself a
     /// moving object (excluded from all searches); `None` for a pure
     /// query point.
@@ -53,54 +70,51 @@ pub struct MonoIgern {
 impl MonoIgern {
     /// Algorithm 1 — the initial step: compute the first answer, the alive
     /// region, and `RNNcand`.
-    pub fn initial(grid: &Grid, q: Point, q_id: Option<ObjectId>, ops: &mut OpCounters) -> Self {
-        Self::initial_with(grid, q, q_id, PruneGranularity::default(), ops)
+    ///
+    /// # Panics
+    /// Panics when `k == 0`.
+    pub fn initial(
+        grid: &Grid,
+        q: Point,
+        q_id: Option<ObjectId>,
+        k: usize,
+        ops: &mut OpCounters,
+    ) -> Self {
+        let scratch = &mut EvalScratch::default();
+        let granularity = PruneGranularity::default();
+        Self::initial_in_feed(grid, None, q, q_id, k, granularity, ops, scratch)
     }
 
     /// [`MonoIgern::initial`] with an explicit pruning granularity
-    /// (ablation A2; see [`PruneGranularity`]).
-    pub fn initial_with(
-        grid: &Grid,
-        q: Point,
-        q_id: Option<ObjectId>,
-        granularity: PruneGranularity,
-        ops: &mut OpCounters,
-    ) -> Self {
-        Self::initial_in(grid, q, q_id, granularity, ops, &mut EvalScratch::default())
-    }
-
-    /// [`MonoIgern::initial_with`] with caller-provided evaluation scratch
-    /// — the allocation-free form the hot paths use.
-    pub fn initial_in(
-        grid: &Grid,
-        q: Point,
-        q_id: Option<ObjectId>,
-        granularity: PruneGranularity,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) -> Self {
-        Self::initial_in_feed(grid, None, q, q_id, granularity, ops, scratch)
-    }
-
-    /// [`MonoIgern::initial_in`] reading primed cells from `feed` (the
-    /// batch evaluator's shared-scan cache). `None`-feed calls and
-    /// feed-backed calls produce bit-identical answers and counters.
+    /// (ablation A2; see [`PruneGranularity`]), caller-provided evaluation
+    /// scratch — the allocation-free form the hot paths use — and primed
+    /// cells read from `feed` (the batch evaluator's shared-scan cache).
+    /// `None`-feed calls and feed-backed calls produce bit-identical
+    /// answers and counters.
+    ///
+    /// # Panics
+    /// Panics when `k == 0`.
+    #[allow(clippy::too_many_arguments)]
     pub fn initial_in_feed(
         grid: &Grid,
         feed: Option<&CellFeed>,
         q: Point,
         q_id: Option<ObjectId>,
+        k: usize,
         granularity: PruneGranularity,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) -> Self {
+        assert!(k >= 1, "k must be positive");
         let mut state = MonoIgern {
+            k,
             q_id,
             q,
             alive: CellSet::full(grid.num_cells()),
-            // Cleaning bounds the candidate set at 6 (six-region lemma);
-            // tighten can briefly overshoot, so reserve enough headroom
-            // that steady-state ticks never regrow these.
+            // Cleaning bounds the k = 1 candidate set at 6 (six-region
+            // lemma); tighten can briefly overshoot, so reserve enough
+            // headroom that steady-state ticks never regrow these. The
+            // reservation is fixed: `k` arrives in a SUBSCRIBE frame.
             cand: Vec::with_capacity(16),
             rnn: Vec::with_capacity(16),
             stale: false,
@@ -116,23 +130,13 @@ impl MonoIgern {
     /// Algorithm 2 — the incremental step, run every Δt with the query's
     /// current position.
     pub fn incremental(&mut self, grid: &Grid, q: Point, ops: &mut OpCounters) {
-        self.incremental_in(grid, q, ops, &mut EvalScratch::default());
+        self.incremental_in_feed(grid, None, q, ops, &mut EvalScratch::default());
     }
 
-    /// [`MonoIgern::incremental`] with caller-provided evaluation scratch;
-    /// a warm scratch makes the steady-state tick allocation-free.
-    pub fn incremental_in(
-        &mut self,
-        grid: &Grid,
-        q: Point,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.incremental_in_feed(grid, None, q, ops, scratch);
-    }
-
-    /// [`MonoIgern::incremental_in`] reading primed cells from `feed`;
-    /// see [`MonoIgern::initial_in_feed`].
+    /// [`MonoIgern::incremental`] with caller-provided evaluation scratch
+    /// (a warm scratch makes the steady-state tick allocation-free),
+    /// reading primed cells from `feed`; see
+    /// [`MonoIgern::initial_in_feed`].
     pub fn incremental_in_feed(
         &mut self,
         grid: &Grid,
@@ -162,10 +166,7 @@ impl MonoIgern {
         if q_moved || cand_moved || self.stale {
             // Redraw all bisectors; only cells between q and the bisectors
             // stay alive.
-            let sites = &mut scratch.sites;
-            sites.clear();
-            sites.extend(self.cand.iter().map(|&(p, _)| p));
-            recompute_alive_into(grid, q, sites, &mut self.alive, &mut scratch.prune);
+            self.redraw(grid, scratch);
             self.stale = false;
         }
         // Lines 6–9: if objects (re-)entered the alive region, tighten the
@@ -175,11 +176,11 @@ impl MonoIgern {
         self.tighten(grid, feed, ops, SearchClass::Bounded, scratch);
         // Cleaning runs unconditionally: movement alone can make one
         // candidate dominate another, and with exact-granularity greedy
-        // insertion the cleaned set is guaranteed ≤ 6 (at most one
-        // candidate per 60° pie survives, by the classic six-region
+        // insertion the cleaned set is guaranteed ≤ 6k (at most k
+        // candidates per 60° pie survive, by the classic six-region
         // lemma the paper's related work builds on).
         let grown = self.cand.len();
-        clean_dominated_with(&mut self.cand, q, &mut scratch.prune);
+        clean_dominated_k_with(&mut self.cand, q, self.k, &mut scratch.prune);
         if self.cand.len() < grown {
             self.stale = true;
         }
@@ -187,10 +188,18 @@ impl MonoIgern {
         self.verify(grid, feed, ops);
     }
 
+    /// Redraw the order-`k` alive region from the current candidates.
+    fn redraw(&mut self, grid: &Grid, scratch: &mut EvalScratch) {
+        let EvalScratch { sites, prune, .. } = scratch;
+        sites.clear();
+        sites.extend(self.cand.iter().map(|&(p, _)| p));
+        recompute_alive_k_into(grid, self.q, sites, self.k, &mut self.alive, prune);
+    }
+
     /// Phase-I loop (Algorithm 1 lines 3–6): repeatedly take the nearest
-    /// non-candidate object inside the alive cells, add it to `RNNcand`,
-    /// and kill the cells beyond its bisector, until the alive region
-    /// holds no non-candidate object.
+    /// non-candidate object inside the alive cells that fewer than `k`
+    /// candidates dominate, add it to `RNNcand`, and kill the cells ≥ `k`
+    /// bisectors exclude, until the alive region holds no such object.
     fn tighten(
         &mut self,
         grid: &Grid,
@@ -215,9 +224,9 @@ impl MonoIgern {
             } else {
                 // The probe excludes the query object and the candidates,
                 // and under exact granularity also skips objects already
-                // dominated by a candidate: they cannot be RNNs and need
-                // no bisector. Cell granularity passes no sites, which
-                // disables the domination test.
+                // dominated by `k` candidates: they cannot be answers and
+                // need no bisector. Cell granularity passes no sites,
+                // which disables the domination test.
                 let EvalScratch {
                     sites,
                     ids,
@@ -237,6 +246,7 @@ impl MonoIgern {
                     self.q,
                     &self.alive,
                     sites,
+                    self.k,
                     ids,
                     ops,
                     cell_order,
@@ -244,17 +254,14 @@ impl MonoIgern {
             };
             let Some(n) = next else { break };
             self.cand.push((n.pos, n.id));
-            let sites = &mut scratch.sites;
-            sites.clear();
-            sites.extend(self.cand.iter().map(|&(p, _)| p));
-            recompute_alive_into(grid, self.q, sites, &mut self.alive, &mut scratch.prune);
+            self.redraw(grid, scratch);
         }
     }
 
     /// Phase-II verification (Algorithm 1 line 8 / Algorithm 2 line 10):
-    /// keep a candidate iff the query is its nearest object — i.e. no
-    /// other object lies strictly closer to it than the query does.
-    /// Rebuilds `self.rnn` in place.
+    /// keep a candidate iff the query is among its `k` nearest objects —
+    /// i.e. fewer than `k` other objects lie strictly closer to it than
+    /// the query does. Rebuilds `self.rnn` in place.
     fn verify(&mut self, grid: &Grid, feed: Option<&CellFeed>, ops: &mut OpCounters) {
         let mut rnn = std::mem::take(&mut self.rnn);
         rnn.clear();
@@ -272,7 +279,8 @@ impl MonoIgern {
                     &single
                 }
             };
-            if !exists_closer_than_feed(grid, feed, pos, pos.dist_sq(self.q), exclude, ops) {
+            let d_q = pos.dist_sq(self.q);
+            if count_closer_than_feed(grid, feed, pos, d_q, self.k, exclude, ops) < self.k {
                 rnn.push(id);
             }
         }
@@ -299,7 +307,8 @@ impl MonoIgern {
     }
 
     /// Number of monitored objects (the Figure 7b metric; ≈3 on average
-    /// vs. CRNN's constant 6).
+    /// at `k = 1` vs. CRNN's constant 6, and ≤ 6k under exact greedy
+    /// insertion).
     #[inline]
     pub fn num_monitored(&self) -> usize {
         self.cand.len()
@@ -356,6 +365,11 @@ mod tests {
         naive::mono_rnn(&objs, q, q_id)
     }
 
+    fn oracle_k(g: &Grid, q: Point, k: usize) -> Vec<ObjectId> {
+        let objs: Vec<(ObjectId, Point)> = g.iter().collect();
+        naive::mono_rknn(&objs, q, None, k)
+    }
+
     #[test]
     fn paper_figure_1_shape() {
         // Mirror of the Figure 1 walkthrough: the nearest object is always
@@ -369,7 +383,7 @@ mod tests {
         ]);
         let q = Point::new(5.0, 5.0);
         let mut ops = OpCounters::new();
-        let m = MonoIgern::initial(&g, q, None, &mut ops);
+        let m = MonoIgern::initial(&g, q, None, 1, &mut ops);
         assert_eq!(m.rnn(), oracle(&g, q, None).as_slice());
         // The far corners must not be monitored (dominated by nearer
         // candidates' bisectors) — the whole point of the bounded region.
@@ -390,7 +404,7 @@ mod tests {
             let g = grid_with(&pts);
             let q = Point::new(rnd(), rnd());
             let mut ops = OpCounters::new();
-            let m = MonoIgern::initial(&g, q, None, &mut ops);
+            let m = MonoIgern::initial(&g, q, None, 1, &mut ops);
             assert_eq!(m.rnn(), oracle(&g, q, None).as_slice(), "round {round}");
         }
     }
@@ -399,7 +413,7 @@ mod tests {
     fn empty_grid_has_no_answers() {
         let g = grid_with(&[]);
         let mut ops = OpCounters::new();
-        let m = MonoIgern::initial(&g, Point::new(5.0, 5.0), None, &mut ops);
+        let m = MonoIgern::initial(&g, Point::new(5.0, 5.0), None, 1, &mut ops);
         assert!(m.rnn().is_empty());
         assert_eq!(m.num_monitored(), 0);
     }
@@ -408,7 +422,7 @@ mod tests {
     fn single_object_is_always_rnn() {
         let g = grid_with(&[(2.0, 2.0)]);
         let mut ops = OpCounters::new();
-        let m = MonoIgern::initial(&g, Point::new(8.0, 8.0), None, &mut ops);
+        let m = MonoIgern::initial(&g, Point::new(8.0, 8.0), None, 1, &mut ops);
         assert_eq!(m.rnn(), &[ObjectId(0)]);
     }
 
@@ -417,7 +431,7 @@ mod tests {
         let mut g = grid_with(&[(3.0, 3.0)]);
         g.insert(ObjectId(7), Point::new(5.0, 5.0)); // the query itself
         let mut ops = OpCounters::new();
-        let m = MonoIgern::initial(&g, Point::new(5.0, 5.0), Some(ObjectId(7)), &mut ops);
+        let m = MonoIgern::initial(&g, Point::new(5.0, 5.0), Some(ObjectId(7)), 1, &mut ops);
         assert_eq!(
             m.rnn(),
             oracle(&g, Point::new(5.0, 5.0), Some(ObjectId(7))).as_slice()
@@ -430,7 +444,7 @@ mod tests {
         let mut g = grid_with(&[(4.0, 5.0), (8.0, 5.0)]);
         let q = Point::new(5.0, 5.0);
         let mut ops = OpCounters::new();
-        let mut m = MonoIgern::initial(&g, q, None, &mut ops);
+        let mut m = MonoIgern::initial(&g, q, None, 1, &mut ops);
         assert_eq!(m.rnn(), oracle(&g, q, None).as_slice());
         // Object 1 swings close to object 0: object 0 stops being an RNN.
         g.update(ObjectId(1), Point::new(3.5, 5.0));
@@ -446,7 +460,7 @@ mod tests {
     fn incremental_tracks_query_movement() {
         let g = grid_with(&[(2.0, 2.0), (8.0, 8.0), (2.0, 8.0)]);
         let mut ops = OpCounters::new();
-        let mut m = MonoIgern::initial(&g, Point::new(5.0, 5.0), None, &mut ops);
+        let mut m = MonoIgern::initial(&g, Point::new(5.0, 5.0), None, 1, &mut ops);
         for &(x, y) in &[(1.0, 1.0), (9.0, 9.0), (5.0, 9.0), (0.5, 9.5)] {
             let q = Point::new(x, y);
             m.incremental(&g, q, &mut ops);
@@ -459,7 +473,7 @@ mod tests {
         let mut g = grid_with(&[(4.0, 5.0)]);
         let q = Point::new(5.0, 5.0);
         let mut ops = OpCounters::new();
-        let mut m = MonoIgern::initial(&g, q, None, &mut ops);
+        let mut m = MonoIgern::initial(&g, q, None, 1, &mut ops);
         assert_eq!(m.rnn(), &[ObjectId(0)]);
         // A new object appears right next to the query (Figure 2c's
         // scenario): the answer must absorb it.
@@ -474,7 +488,7 @@ mod tests {
         let g = grid_with(&[(4.0, 5.0), (8.0, 2.0), (1.0, 9.0)]);
         let q = Point::new(5.0, 5.0);
         let mut ops = OpCounters::new();
-        let mut m = MonoIgern::initial(&g, q, None, &mut ops);
+        let mut m = MonoIgern::initial(&g, q, None, 1, &mut ops);
         let first = m.rnn().to_vec();
         for _ in 0..5 {
             m.incremental(&g, q, &mut ops);
@@ -493,7 +507,7 @@ mod tests {
         let mut g = grid_with(&pts);
         let mut q = Point::new(5.0, 5.0);
         let mut ops = OpCounters::new();
-        let mut m = MonoIgern::initial(&g, q, None, &mut ops);
+        let mut m = MonoIgern::initial(&g, q, None, 1, &mut ops);
         for tick in 0..40 {
             // Jitter a random third of the objects and the query.
             for i in 0..60u32 {
@@ -529,7 +543,7 @@ mod tests {
         let mut total = 0usize;
         for i in 0..20 {
             let q = Point::new(rnd() * 10.0, rnd() * 10.0);
-            let m = MonoIgern::initial(&g, q, None, &mut ops);
+            let m = MonoIgern::initial(&g, q, None, 1, &mut ops);
             total += m.num_monitored();
             let _ = i;
         }
@@ -537,5 +551,107 @@ mod tests {
         // The paper reports ≈3.x monitored objects on average; allow a
         // loose band since this is a tiny data set.
         assert!(avg < 8.0, "average monitored = {avg}");
+    }
+
+    #[test]
+    fn initial_matches_oracle_for_various_k() {
+        let mut state = 29u64;
+        let mut rnd = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) * 10.0
+        };
+        for round in 0..12 {
+            let pts: Vec<(f64, f64)> = (0..60).map(|_| (rnd(), rnd())).collect();
+            let g = grid_with(&pts);
+            let q = Point::new(rnd(), rnd());
+            let mut ops = OpCounters::new();
+            for k in [1usize, 2, 3, 5] {
+                let m = MonoIgern::initial(&g, q, None, k, &mut ops);
+                assert_eq!(
+                    m.rnn(),
+                    oracle_k(&g, q, k).as_slice(),
+                    "round {round} k {k}"
+                );
+                assert!(m.num_monitored() <= 6 * k, "6k candidate bound violated");
+            }
+        }
+    }
+
+    #[test]
+    fn answers_are_monotone_in_k() {
+        let g = grid_with(&[
+            (4.0, 5.0),
+            (4.5, 5.0),
+            (6.0, 5.0),
+            (5.0, 7.0),
+            (9.0, 9.0),
+            (1.0, 2.0),
+        ]);
+        let q = Point::new(5.0, 5.0);
+        let mut ops = OpCounters::new();
+        let mut prev: Vec<ObjectId> = Vec::new();
+        for k in 1..=4 {
+            let m = MonoIgern::initial(&g, q, None, k, &mut ops);
+            for id in &prev {
+                assert!(m.rnn().contains(id), "k={k} lost an answer from k-1");
+            }
+            prev = m.rnn().to_vec();
+        }
+    }
+
+    #[test]
+    fn incremental_matches_oracle_under_movement() {
+        let mut state = 59u64;
+        let mut rnd = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        let pts: Vec<(f64, f64)> = (0..40).map(|_| (rnd() * 10.0, rnd() * 10.0)).collect();
+        for k in [2usize, 3] {
+            let mut g = grid_with(&pts);
+            let mut q = Point::new(5.0, 5.0);
+            let mut ops = OpCounters::new();
+            let mut m = MonoIgern::initial(&g, q, None, k, &mut ops);
+            for tick in 0..25 {
+                for i in 0..40u32 {
+                    if rnd() < 0.3 {
+                        let p = g.position(ObjectId(i)).unwrap();
+                        g.update(
+                            ObjectId(i),
+                            Point::new(
+                                (p.x + (rnd() - 0.5) * 2.0).clamp(0.0, 10.0),
+                                (p.y + (rnd() - 0.5) * 2.0).clamp(0.0, 10.0),
+                            ),
+                        );
+                    }
+                }
+                q = Point::new(
+                    (q.x + (rnd() - 0.5)).clamp(0.0, 10.0),
+                    (q.y + (rnd() - 0.5)).clamp(0.0, 10.0),
+                );
+                m.incremental(&g, q, &mut ops);
+                assert_eq!(m.rnn(), oracle_k(&g, q, k).as_slice(), "k {k} tick {tick}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_small_populations() {
+        let g = grid_with(&[]);
+        let mut ops = OpCounters::new();
+        let m = MonoIgern::initial(&g, Point::new(5.0, 5.0), None, 3, &mut ops);
+        assert!(m.rnn().is_empty());
+        // With n ≤ k, every object is an answer.
+        let g2 = grid_with(&[(1.0, 1.0), (9.0, 9.0)]);
+        let m2 = MonoIgern::initial(&g2, Point::new(5.0, 5.0), None, 5, &mut ops);
+        assert_eq!(m2.rnn().len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be positive")]
+    fn zero_k_rejected() {
+        let g = grid_with(&[]);
+        let mut ops = OpCounters::new();
+        MonoIgern::initial(&g, Point::ORIGIN, None, 0, &mut ops);
     }
 }

@@ -1,8 +1,6 @@
 //! Continuous monochromatic reverse-nearest-neighbor evaluation
-//! (paper §3: Algorithms 1 and 2).
+//! (paper §3: Algorithms 1 and 2), at any order `k`.
 
 mod igern;
-mod krnn;
 
 pub use igern::MonoIgern;
-pub use krnn::MonoIgernK;

@@ -235,49 +235,6 @@ pub fn recompute_alive_into(
     alive.insert(grid.cell_of_point(q));
 }
 
-/// The candidate-cleaning rule shared by both incremental steps
-/// (Algorithm 2 line 8, Algorithm 4 line 8): drop a monitored object
-/// `o_i` when some other monitored object `o_j` is closer to it than the
-/// query is — `o_i` can then be neither an answer nor a bisector that
-/// bounds one.
-///
-/// Removal is sequential in increasing distance from the query: a
-/// candidate is dropped only when dominated by a candidate that is
-/// *kept*. (Applying the paper's rule simultaneously would delete both
-/// members of a mutually-dominating pair, throwing away the bisector that
-/// bounds the region and re-discovering both next tick — sequential
-/// application keeps the nearer one and is what the rule needs to mean
-/// for the region to stay bounded.)
-///
-/// `items` are `(position, payload)` pairs; the function retains the
-/// non-dominated ones in place, preserving their relative order.
-pub fn clean_dominated<T>(items: &mut Vec<(Point, T)>, q: Point) {
-    clean_dominated_with(items, q, &mut PruneScratch::default());
-}
-
-/// [`clean_dominated`] with reusable ordering scratch.
-pub fn clean_dominated_with<T>(items: &mut Vec<(Point, T)>, q: Point, scratch: &mut PruneScratch) {
-    let order = &mut scratch.order;
-    order.clear();
-    order.extend(0..items.len());
-    order.sort_by(|&i, &j| items[i].0.dist_sq(q).total_cmp(&items[j].0.dist_sq(q)));
-    let keep = &mut scratch.keep;
-    keep.clear();
-    keep.resize(items.len(), false);
-    let kept_positions = &mut scratch.kept;
-    kept_positions.clear();
-    for &i in order.iter() {
-        let p = items[i].0;
-        let d_q = p.dist_sq(q);
-        if kept_positions.iter().all(|k| p.dist_sq(*k) >= d_q) {
-            keep[i] = true;
-            kept_positions.push(p);
-        }
-    }
-    let mut it = keep.iter();
-    items.retain(|_| *it.next().unwrap());
-}
-
 /// Order-`k` alive-region recomputation for the RkNN extension: a cell is
 /// dead iff it lies fully beyond the bisectors of **at least `k`**
 /// monitored sites (every point of it then has ≥ k objects closer than
@@ -305,6 +262,10 @@ pub fn recompute_alive_k_into(
 ) {
     assert!(k >= 1, "order must be positive");
     if k == 1 {
+        // The order-1 region is one convex polygon, so the scanline
+        // raster applies: O(rows · vertices) against the dense scan's
+        // O(cells · planes) below, which is what makes a k = 4 redraw
+        // cost ~45× a k = 1 one on `city`.
         recompute_alive_into(grid, q, sites, alive, scratch);
         return;
     }
@@ -335,11 +296,22 @@ pub fn recompute_alive_k_into(
     alive.insert(grid.cell_of_point(q));
 }
 
-/// Order-`k` cleaning: drop a monitored object when **at least `k`** kept
-/// monitored objects are strictly closer to it than the query — it can
-/// then neither be an answer nor contribute a needed bisector. Sequential
-/// in distance order, like [`clean_dominated`]. `k = 1` coincides with
-/// it.
+/// The candidate-cleaning rule shared by both incremental steps
+/// (Algorithm 2 line 8, Algorithm 4 line 8) at order `k`: drop a
+/// monitored object `o_i` when **at least `k`** other monitored objects
+/// are strictly closer to it than the query is — `o_i` can then be
+/// neither an answer nor a bisector that bounds one.
+///
+/// Removal is sequential in increasing distance from the query: a
+/// candidate is dropped only when dominated by candidates that are
+/// *kept*. (Applying the paper's rule simultaneously would delete both
+/// members of a mutually-dominating pair, throwing away the bisector that
+/// bounds the region and re-discovering both next tick — sequential
+/// application keeps the nearer one and is what the rule needs to mean
+/// for the region to stay bounded.)
+///
+/// `items` are `(position, payload)` pairs; the function retains the
+/// non-dominated ones in place, preserving their relative order.
 pub fn clean_dominated_k<T>(items: &mut Vec<(Point, T)>, q: Point, k: usize) {
     clean_dominated_k_with(items, q, k, &mut PruneScratch::default());
 }
@@ -559,7 +531,7 @@ mod tests {
             (Point::new(1.5, 0.0), "c1"),
             (Point::new(0.0, 2.0), "c2"),
         ];
-        clean_dominated(&mut items, q);
+        clean_dominated_k(&mut items, q, 1);
         let names: Vec<&str> = items.iter().map(|&(_, n)| n).collect();
         assert_eq!(names, vec!["c0", "c2"]);
     }
@@ -572,7 +544,7 @@ mod tests {
             (Point::new(4.0, 5.0), 1),
             (Point::new(5.0, 6.5), 2),
         ];
-        clean_dominated(&mut items, q);
+        clean_dominated_k(&mut items, q, 1);
         assert_eq!(items.len(), 3);
     }
 
@@ -585,7 +557,7 @@ mod tests {
             (Point::new(2.1, 0.0), "far"),
             (Point::new(2.0, 0.0), "near"),
         ];
-        clean_dominated(&mut items, q);
+        clean_dominated_k(&mut items, q, 1);
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].1, "near");
     }
@@ -668,10 +640,10 @@ mod tests {
     fn clean_dominated_on_empty_and_singleton() {
         let q = Point::ORIGIN;
         let mut empty: Vec<(Point, ())> = Vec::new();
-        clean_dominated(&mut empty, q);
+        clean_dominated_k(&mut empty, q, 1);
         assert!(empty.is_empty());
         let mut one = vec![(Point::new(1.0, 1.0), ())];
-        clean_dominated(&mut one, q);
+        clean_dominated_k(&mut one, q, 1);
         assert_eq!(one.len(), 1);
     }
 }

@@ -1,8 +1,13 @@
 //! Integration tests for the auxiliary continuous monitors (k-NN, range)
 //! and the duality invariants connecting them to the RNN monitors.
 
-use igern::core::{KnnMonitor, MonoIgernK, RangeMonitor};
+mod common;
 
+use common::Lcg;
+use igern::core::processor::{Algorithm, Processor};
+use igern::core::types::ObjectKind;
+use igern::core::{KnnMonitor, MonoIgern, RangeMonitor, SpatialStore};
+use igern::geom::{Aabb, Point};
 use igern::grid::{k_nearest, Grid, ObjectId, OpCounters};
 use igern::mobgen::{Workload, WorkloadConfig};
 
@@ -23,7 +28,7 @@ fn rknn_knn_duality_holds_every_tick() {
     let q_id = ObjectId(0);
     let k = 3;
     let mut ops = OpCounters::new();
-    let mut monitor = MonoIgernK::initial(&g, g.position(q_id).unwrap(), Some(q_id), k, &mut ops);
+    let mut monitor = MonoIgern::initial(&g, g.position(q_id).unwrap(), Some(q_id), k, &mut ops);
     for tick in 0..10 {
         if tick > 0 {
             for u in world.advance().to_vec() {
@@ -118,7 +123,7 @@ fn monitors_survive_population_collapse() {
     let mut ops = OpCounters::new();
     let mut knn = KnnMonitor::initial(&g, q, Some(q_id), 5, &mut ops);
     let mut range = RangeMonitor::initial(&g, q, 100.0, Some(q_id), &mut ops);
-    let mut rknn = MonoIgernK::initial(&g, q, Some(q_id), 2, &mut ops);
+    let mut rknn = MonoIgern::initial(&g, q, Some(q_id), 2, &mut ops);
     for i in 1..50u32 {
         g.remove(ObjectId(i));
         knn.incremental(&g, q, &mut ops);
@@ -128,4 +133,159 @@ fn monitors_survive_population_collapse() {
     assert!(knn.answer().is_empty());
     assert!(range.is_empty());
     assert!(rknn.rnn().is_empty());
+}
+
+/// FNV-1a over a stream of `u64` words (little-endian bytes).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Drive 16 queries of `algo` (8 packed into one grid cell so batch
+/// groups form, 8 scattered) over 2,400 mixed-kind objects for the
+/// initial evaluation plus 30 ticks of movement; returns the FNV-1a
+/// digests of `(answers, all seven op counters, monitored)` and of the
+/// answers alone, over every query and tick.
+fn igern_run_digests(algo: Algorithm, batch: bool) -> (u64, u64) {
+    const N: usize = 2400;
+    const SIDE: f64 = 1000.0;
+    const QUERIES: usize = 16;
+    let kinds: Vec<ObjectKind> = (0..N)
+        .map(|i| {
+            if i % 3 == 2 {
+                ObjectKind::B
+            } else {
+                ObjectKind::A
+            }
+        })
+        .collect();
+    let mut rng = Lcg::new(0x16e7);
+    let mut pts = rng.points(N, SIDE);
+    // Anchors are kind-A ids 0, 1, 3, 4, 6, …; the first eight share the
+    // cell at (400..431, 400..431) of the 32×32 grid.
+    let anchors: Vec<ObjectId> = (0..N as u32)
+        .filter(|i| i % 3 != 2)
+        .take(QUERIES)
+        .map(ObjectId)
+        .collect();
+    for (j, a) in anchors.iter().take(QUERIES / 2).enumerate() {
+        pts[a.0 as usize] = Point::new(402.0 + 3.0 * j as f64, 405.0 + 2.0 * j as f64);
+    }
+    let mut store = SpatialStore::new(Aabb::from_coords(0.0, 0.0, SIDE, SIDE), 32, kinds);
+    store.load(&pts);
+    let mut p = Processor::new(store);
+    p.set_batch(batch);
+    let qs: Vec<usize> = anchors.iter().map(|&a| p.add_query(a, algo)).collect();
+    let (mut full, mut answers) = (Fnv::new(), Fnv::new());
+    for tick in 0..=30 {
+        if tick == 0 {
+            p.evaluate_all();
+        } else {
+            let mut ups = Vec::new();
+            for (i, pos) in pts.iter_mut().enumerate() {
+                // The packed anchors stay put so their group persists.
+                let packed = anchors[..QUERIES / 2].contains(&ObjectId(i as u32));
+                if !packed && rng.usize(4) == 0 {
+                    *pos = Point::new(
+                        (pos.x + rng.range_f64(-20.0, 20.0)).clamp(0.0, SIDE),
+                        (pos.y + rng.range_f64(-20.0, 20.0)).clamp(0.0, SIDE),
+                    );
+                    ups.push((ObjectId(i as u32), *pos));
+                }
+            }
+            p.step(&ups);
+        }
+        for &q in &qs {
+            let ans = p.answer(q);
+            for h in [&mut full, &mut answers] {
+                h.word(ans.len() as u64);
+                for id in ans {
+                    h.word(id.0 as u64);
+                }
+            }
+            let o = p.history(q).latest().unwrap().ops;
+            for w in [
+                o.nn,
+                o.nn_c,
+                o.nn_b,
+                o.verifications,
+                o.cells_visited,
+                o.objects_visited,
+                o.desyncs,
+                p.monitored(q) as u64,
+            ] {
+                full.word(w);
+            }
+        }
+    }
+    (full.0, answers.0)
+}
+
+/// Behaviour pin for the merge of the k = 1 / order-k monitor twins into
+/// one `MonoIgern` / `BiIgern`. The digests were recorded by running
+/// this test at the parent commit 578e915, where `IgernMono` and
+/// `IgernMonoK(1)` were different code (already with equal digests) and
+/// `IgernBi` and `IgernBiK(1)` different behaviour. Seven rows are the
+/// parent's values unchanged. The one predicted change is `IgernBiK(1)`:
+/// it now evaluates as `IgernBi` (Algorithm 3's Phase II, whose blockers
+/// join `NN_A`) instead of the capped blocker count, so its full digest
+/// moved from the parent's `0xe25ace557c889d87` to `IgernBi`'s row — its
+/// answers digest is the parent's.
+#[test]
+fn igern_behaviour_is_pinned_to_the_pre_merge_twins() {
+    let rows: [(Algorithm, u64, u64); 8] = [
+        (Algorithm::IgernMono, 0x85517ce5013056d0, 0x133aec73e7186350),
+        (
+            Algorithm::IgernMonoK(1),
+            0x85517ce5013056d0,
+            0x133aec73e7186350,
+        ),
+        (
+            Algorithm::IgernMonoK(2),
+            0x62c07e9d8717517b,
+            0x61e7eb0fff5ab055,
+        ),
+        (
+            Algorithm::IgernMonoK(4),
+            0xc6b2b3e0204b6924,
+            0xc4297cbe5c293bae,
+        ),
+        (Algorithm::IgernBi, 0x4403fcbd628f1eac, 0xb98687479b43db5a),
+        (
+            Algorithm::IgernBiK(1),
+            0x4403fcbd628f1eac,
+            0xb98687479b43db5a,
+        ),
+        (
+            Algorithm::IgernBiK(2),
+            0x288e7e286a63a40e,
+            0xa907ed21789c386d,
+        ),
+        (
+            Algorithm::IgernBiK(4),
+            0x7cd060a9bd0020d4,
+            0x630e1b93f2a73f0b,
+        ),
+    ];
+    for (algo, full, answers) in rows {
+        for batch in [false, true] {
+            let got = igern_run_digests(algo, batch);
+            assert_eq!(
+                got,
+                (full, answers),
+                "{algo:?} batch {batch}: (full, answers) digests {:#018x} {:#018x}",
+                got.0,
+                got.1
+            );
+        }
+    }
 }

@@ -9,7 +9,7 @@ use common::Lcg;
 use igern::core::baselines::{tpl_snapshot, voronoi_snapshot, Crnn};
 use igern::core::naive;
 use igern::core::prune::PruneGranularity;
-use igern::core::{BiIgern, BiIgernK, MonoIgern, MonoIgernK};
+use igern::core::{BiIgern, EvalScratch, MonoIgern};
 use igern::geom::{Aabb, Circle, ConvexPolygon, HalfPlane, Point, VoronoiCell};
 use igern::grid::{nearest, Grid, ObjectId, OpCounters};
 use igern_rtree::{tpl_snapshot_rtree, RTree};
@@ -36,7 +36,7 @@ fn grid_of(points: &[Point], n: usize) -> Grid {
 }
 
 /// Theorems 1–2: the monochromatic initial step is accurate and
-/// complete, at both pruning granularities.
+/// complete, at both pruning granularities and orders 1–3.
 #[test]
 fn mono_initial_matches_oracle() {
     let mut rng = Lcg::new(0xc0de_0001);
@@ -46,11 +46,15 @@ fn mono_initial_matches_oracle() {
         let grid_n = 2 + rng.usize(22);
         let g = grid_of(&points, grid_n);
         let objs: Vec<(ObjectId, Point)> = g.iter().collect();
-        let want = naive::mono_rnn(&objs, q, None);
         let mut ops = OpCounters::new();
-        for gran in [PruneGranularity::Exact, PruneGranularity::Cell] {
-            let m = MonoIgern::initial_with(&g, q, None, gran, &mut ops);
-            assert_eq!(m.rnn(), want.as_slice(), "case {case} ({gran:?})");
+        let mut scratch = EvalScratch::default();
+        for k in 1..=3 {
+            let want = naive::mono_rknn(&objs, q, None, k);
+            for gran in [PruneGranularity::Exact, PruneGranularity::Cell] {
+                let m =
+                    MonoIgern::initial_in_feed(&g, None, q, None, k, gran, &mut ops, &mut scratch);
+                assert_eq!(m.rnn(), want.as_slice(), "case {case} k {k} ({gran:?})");
+            }
         }
     }
 }
@@ -70,7 +74,7 @@ fn mono_incremental_matches_oracle() {
         let q_moves = rng.points(n_q_moves, SPACE);
         let mut g = grid_of(&points, 8);
         let mut ops = OpCounters::new();
-        let mut m = MonoIgern::initial(&g, q0, None, &mut ops);
+        let mut m = MonoIgern::initial(&g, q0, None, 1, &mut ops);
         let mut q = q0;
         let mut q_iter = q_moves.into_iter();
         for (chunk, (idx, to)) in moves.into_iter().enumerate() {
@@ -109,7 +113,8 @@ fn crnn_and_tpl_match_oracle() {
 }
 
 /// Theorems 3–4: the bichromatic initial step is accurate and
-/// complete, and agrees with the Voronoi rebuild.
+/// complete — at both pruning granularities and orders 1–3 — and agrees
+/// with the Voronoi rebuild.
 #[test]
 fn bi_initial_matches_oracle() {
     let mut rng = Lcg::new(0xc0de_0004);
@@ -128,8 +133,25 @@ fn bi_initial_matches_oracle() {
         let b: Vec<(ObjectId, Point)> = gb.iter().collect();
         let want = naive::bi_rnn(&a, &b, q, None);
         let mut ops = OpCounters::new();
-        let m = BiIgern::initial(&ga, &gb, q, None, &mut ops);
-        assert_eq!(m.rnn(), want.as_slice(), "case {case}");
+        let mut scratch = EvalScratch::default();
+        for k in 1..=3 {
+            let want = naive::bi_rknn(&a, &b, q, None, k);
+            for gran in [PruneGranularity::Exact, PruneGranularity::Cell] {
+                let m = BiIgern::initial_in_feed(
+                    &ga,
+                    &gb,
+                    None,
+                    None,
+                    q,
+                    None,
+                    k,
+                    gran,
+                    &mut ops,
+                    &mut scratch,
+                );
+                assert_eq!(m.rnn(), want.as_slice(), "case {case} k {k} ({gran:?})");
+            }
+        }
         let v = voronoi_snapshot(&ga, &gb, q, None, &mut ops);
         assert_eq!(v.rnn, want, "case {case}");
     }
@@ -154,7 +176,7 @@ fn bi_incremental_matches_oracle() {
             gb.insert(ObjectId(1000 + i as u32), p);
         }
         let mut ops = OpCounters::new();
-        let mut m = BiIgern::initial(&ga, &gb, q, None, &mut ops);
+        let mut m = BiIgern::initial(&ga, &gb, q, None, 1, &mut ops);
         for (is_a, idx, to) in moves {
             if is_a {
                 ga.update(ObjectId((idx % a_pts.len()) as u32), to);
@@ -186,7 +208,7 @@ fn krnn_matches_oracle() {
         let mut ops = OpCounters::new();
         let objs: Vec<(ObjectId, Point)> = g.iter().collect();
         let want = naive::mono_rknn(&objs, q, None, k);
-        let mut m = MonoIgernK::initial(&g, q, None, k, &mut ops);
+        let mut m = MonoIgern::initial(&g, q, None, k, &mut ops);
         assert_eq!(m.rnn(), want.as_slice(), "case {case}");
         assert!(m.num_monitored() <= 6 * k, "case {case}");
         for (idx, to) in moves {
@@ -219,7 +241,7 @@ fn bi_krnn_matches_oracle() {
         let b: Vec<(ObjectId, Point)> = gb.iter().collect();
         let want = naive::bi_rknn(&a, &b, q, None, k);
         let mut ops = OpCounters::new();
-        let m = BiIgernK::initial(&ga, &gb, q, None, k, &mut ops);
+        let m = BiIgern::initial(&ga, &gb, q, None, k, &mut ops);
         assert_eq!(m.rnn(), want.as_slice(), "case {case}");
     }
 }
