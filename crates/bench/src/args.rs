@@ -1,6 +1,6 @@
-//! Minimal command-line parsing shared by the experiment binaries.
+//! Minimal command-line parsing for the `experiments` driver.
 //!
-//! No external CLI crate is pulled in: the binaries accept a handful of
+//! No external CLI crate is pulled in: the driver accepts a handful of
 //! `--flag value` pairs and `--quick` for a scaled-down smoke run.
 
 /// Parsed experiment options with paper defaults.
@@ -20,6 +20,8 @@ pub struct ExpArgs {
     pub quick: bool,
     /// Directory for CSV output.
     pub out_dir: String,
+    /// Experiment ids to run (`--only e1,e8`); empty means all.
+    pub only: Vec<String>,
 }
 
 impl Default for ExpArgs {
@@ -32,6 +34,7 @@ impl Default for ExpArgs {
             queries: 8,
             quick: false,
             out_dir: "results".to_string(),
+            only: Vec::new(),
         }
     }
 }
@@ -59,10 +62,11 @@ impl ExpArgs {
                 "--seed" => args.seed = value("--seed").parse().expect("--seed"),
                 "--queries" => args.queries = value("--queries").parse().expect("--queries"),
                 "--out" => args.out_dir = value("--out"),
+                "--only" => args.only = value("--only").split(',').map(str::to_string).collect(),
                 "--quick" => args.quick = true,
                 "--help" | "-h" => {
                     eprintln!(
-                        "flags: --objects N --ticks N --grid N --seed N --queries N --out DIR --quick"
+                        "flags: --only e1,e8,… --objects N --ticks N --grid N --seed N --queries N --out DIR --quick"
                     );
                     std::process::exit(0);
                 }

@@ -10,27 +10,25 @@
 
 use std::time::{Duration, Instant};
 
-use igern_bench::report::{ms, print_table, write_csv};
-use igern_bench::{harness, ExpArgs, RunConfig};
+use crate::report::{ms, print_table, write_csv};
+use crate::{harness, ExpArgs, RunConfig};
 use igern_core::baselines::{voronoi_snapshot_with, SiteAcquisition};
 use igern_core::processor::Algorithm;
 use igern_core::prune::PruneGranularity;
-use igern_core::types::ObjectKind;
-use igern_core::{EvalScratch, MonoIgern, SpatialStore};
+use igern_core::{EvalScratch, MonoIgern};
 use igern_grid::{ObjectId, OpCounters};
 use igern_mobgen::{HotspotConfig, Movement, ObjKind, Workload, WorkloadConfig};
 
-fn main() {
-    let args = ExpArgs::parse();
+pub(crate) fn run(args: &ExpArgs) {
     println!(
         "E7: ablations — {} objects, grid {}, {} ticks, seed {}",
         args.objects, args.grid, args.ticks, args.seed
     );
-    ablation_a1(&args);
-    ablation_a2(&args);
-    ablation_a4(&args);
-    ablation_a6(&args);
-    ablation_a7(&args);
+    ablation_a1(args);
+    ablation_a2(args);
+    ablation_a4(args);
+    ablation_a6(args);
+    ablation_a7(args);
 }
 
 /// A1: incremental maintenance vs re-evaluating from scratch.
@@ -106,13 +104,7 @@ fn ablation_a2(args: &ExpArgs) {
 fn run_mono_with_granularity(args: &ExpArgs, gran: PruneGranularity) -> (Duration, f64, u64) {
     let mut workload =
         Workload::from_config(&WorkloadConfig::network_mono(args.objects, args.seed));
-    let kinds = vec![ObjectKind::A; workload.len()];
-    let space = workload.mover().space();
-    let mut store = SpatialStore::new(space, args.grid, kinds);
-    let initial: Vec<_> = (0..workload.len() as u32)
-        .map(|i| workload.mover().position(i))
-        .collect();
-    store.load(&initial);
+    let mut store = harness::build_store(&workload, args.grid);
     let queries = (0..args.queries)
         .map(|i| ObjectId((i * workload.len() / args.queries.max(1)) as u32))
         .collect::<Vec<_>>();
@@ -184,13 +176,14 @@ fn ablation_a4(args: &ExpArgs) {
             },
         ),
     ] {
-        let (igern_t, igern_mon) = run_with_workload(args, &cfg, Algorithm::IgernMono);
-        let (crnn_t, _) = run_with_workload(args, &cfg, Algorithm::Crnn);
+        let run = |algo| harness::run_workload(&cfg, args.grid, args.ticks, args.queries, algo);
+        let igern = run(Algorithm::IgernMono);
+        let crnn = run(Algorithm::Crnn);
         rows.push(vec![
             label.to_string(),
-            ms(igern_t),
-            ms(crnn_t),
-            format!("{igern_mon:.2}"),
+            ms(igern.mean_time()),
+            ms(crnn.mean_time()),
+            format!("{:.2}", igern.mean_monitored),
         ]);
     }
     print_table("A4: movement model", &headers, &rows);
@@ -203,20 +196,7 @@ fn ablation_a4(args: &ExpArgs) {
 /// `a_t·NN_c` accounting), against IGERN-bi, over one bichromatic stream.
 fn ablation_a7(args: &ExpArgs) {
     let mut workload = Workload::from_config(&WorkloadConfig::network_bi(args.objects, args.seed));
-    let kinds: Vec<ObjectKind> = workload
-        .kinds()
-        .iter()
-        .map(|k| match k {
-            ObjKind::A => ObjectKind::A,
-            ObjKind::B => ObjectKind::B,
-        })
-        .collect();
-    let space = workload.mover().space();
-    let mut store = SpatialStore::new(space, args.grid, kinds);
-    let initial: Vec<_> = (0..workload.len() as u32)
-        .map(|i| workload.mover().position(i))
-        .collect();
-    store.load(&initial);
+    let mut store = harness::build_store(&workload, args.grid);
     let queries = workload.pick_queries(ObjKind::A, args.queries);
     let mut t_inc = Duration::ZERO;
     let mut t_restart = Duration::ZERO;
@@ -296,13 +276,14 @@ fn ablation_a6(args: &ExpArgs) {
             },
         ),
     ] {
-        let (igern_t, igern_mon) = run_with_workload(args, &cfg, Algorithm::IgernMono);
-        let (crnn_t, _) = run_with_workload(args, &cfg, Algorithm::Crnn);
+        let run = |algo| harness::run_workload(&cfg, args.grid, args.ticks, args.queries, algo);
+        let igern = run(Algorithm::IgernMono);
+        let crnn = run(Algorithm::Crnn);
         rows.push(vec![
             label.to_string(),
-            ms(igern_t),
-            ms(crnn_t),
-            format!("{igern_mon:.2}"),
+            ms(igern.mean_time()),
+            ms(crnn.mean_time()),
+            format!("{:.2}", igern.mean_monitored),
         ]);
     }
     print_table("A6: spatial skew (hotspot clustering)", &headers, &rows);
@@ -313,50 +294,4 @@ Expected: heavy clustering favors IGERN's single adaptive region
          over CRNN's fixed six pies (queries inside a hotspot see dense
          pies; queries at a hotspot fringe see open-ended ones)."
     );
-}
-
-/// Run a processor-driven algorithm over an explicit workload config.
-fn run_with_workload(args: &ExpArgs, wcfg: &WorkloadConfig, algo: Algorithm) -> (Duration, f64) {
-    let mut workload = Workload::from_config(wcfg);
-    let kinds: Vec<ObjectKind> = workload
-        .kinds()
-        .iter()
-        .map(|k| match k {
-            ObjKind::A => ObjectKind::A,
-            ObjKind::B => ObjectKind::B,
-        })
-        .collect();
-    let space = workload.mover().space();
-    let mut store = SpatialStore::new(space, args.grid, kinds);
-    let initial: Vec<_> = (0..workload.len() as u32)
-        .map(|i| workload.mover().position(i))
-        .collect();
-    store.load(&initial);
-    let mut proc = igern_core::processor::Processor::new(store);
-    for q in workload.pick_queries(ObjKind::A, args.queries) {
-        proc.add_query(ObjectId(q), algo);
-    }
-    proc.evaluate_all();
-    for _ in 1..args.ticks {
-        let ups: Vec<(ObjectId, _)> = workload
-            .advance()
-            .iter()
-            .map(|u| (ObjectId(u.id), u.pos))
-            .collect();
-        proc.step(&ups);
-    }
-    let mut total = Duration::ZERO;
-    let mut monitored = 0u64;
-    let mut samples = 0u64;
-    for qi in 0..proc.num_queries() {
-        for s in proc.history(qi) {
-            total += s.elapsed;
-            monitored += s.monitored as u64;
-            samples += 1;
-        }
-    }
-    (
-        total / samples.max(1) as u32,
-        monitored as f64 / samples.max(1) as f64,
-    )
 }

@@ -6,12 +6,11 @@
 //! * Figure 9b: monitored objects, monochromatic vs bichromatic IGERN —
 //!   nearly the same, showing the unified framework costs nothing extra.
 
-use igern_bench::report::{ms, print_table, write_csv};
-use igern_bench::{harness, ExpArgs, RunConfig};
+use crate::report::{ms, print_table, write_csv};
+use crate::{harness, ExpArgs, RunConfig};
 use igern_core::processor::Algorithm;
 
-fn main() {
-    let args = ExpArgs::parse();
+pub(crate) fn run(args: &ExpArgs) {
     println!(
         "E4 (Figure 9): bichromatic scalability — grid {}, {} ticks, seed {}",
         args.grid, args.ticks, args.seed

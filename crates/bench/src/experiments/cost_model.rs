@@ -7,16 +7,15 @@
 //! units: objects visited per search class) and evaluate the paper's
 //! ratios, checking the claimed inequalities hold on measured data.
 
-use igern_bench::report::{print_table, write_csv};
-use igern_bench::{harness, ExpArgs, RunConfig};
+use crate::report::{print_table, write_csv};
+use crate::{harness, ExpArgs, RunConfig};
 use igern_core::costmodel::{
     bi_ratio_vs_voronoi, crnn_cost, igern_bi_cost, igern_mono_cost, mono_ratio_vs_crnn,
     mono_ratio_vs_tpl, tpl_cost, voronoi_cost, UnitCosts,
 };
 use igern_core::processor::Algorithm;
 
-fn main() {
-    let args = ExpArgs::parse();
+pub(crate) fn run(args: &ExpArgs) {
     println!(
         "E6 (Section 6): analytical cost model on measured parameters — {} objects, grid {}",
         args.objects, args.grid

@@ -8,12 +8,11 @@
 //!   with the sweet spot at a moderate size. The paper picks the
 //!   compromise used by all other experiments.
 
-use igern_bench::report::{ms, print_table, write_csv};
-use igern_bench::{harness, ExpArgs, RunConfig};
+use crate::report::{ms, print_table, write_csv};
+use crate::{harness, ExpArgs, RunConfig};
 use igern_core::processor::Algorithm;
 
-fn main() {
-    let args = ExpArgs::parse();
+pub(crate) fn run(args: &ExpArgs) {
     println!(
         "E1 (Figure 6): grid-size sweep — {} objects, {} ticks, seed {}",
         args.objects, args.ticks, args.seed

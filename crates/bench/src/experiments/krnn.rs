@@ -2,12 +2,11 @@
 //! journal version of the paper generalizes IGERN to RkNN): per-tick CPU,
 //! monitored objects (bounded by 6k), and answer size as `k` grows.
 
-use igern_bench::report::{ms, print_table, write_csv};
-use igern_bench::{harness, ExpArgs, RunConfig};
+use crate::report::{ms, print_table, write_csv};
+use crate::{harness, ExpArgs, RunConfig};
 use igern_core::processor::Algorithm;
 
-fn main() {
-    let args = ExpArgs::parse();
+pub(crate) fn run(args: &ExpArgs) {
     println!(
         "E8: reverse k-NN sweep — {} objects, grid {}, {} ticks, seed {}",
         args.objects, args.grid, args.ticks, args.seed

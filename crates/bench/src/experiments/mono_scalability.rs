@@ -5,12 +5,11 @@
 //! * Figure 7b: average number of monitored objects — CRNN pins six,
 //!   IGERN averages ≈3.
 
-use igern_bench::report::{ms, print_table, write_csv};
-use igern_bench::{harness, ExpArgs, RunConfig};
+use crate::report::{ms, print_table, write_csv};
+use crate::{harness, ExpArgs, RunConfig};
 use igern_core::processor::Algorithm;
 
-fn main() {
-    let args = ExpArgs::parse();
+pub(crate) fn run(args: &ExpArgs) {
     println!(
         "E2 (Figure 7): monochromatic scalability — grid {}, {} ticks, seed {}",
         args.grid, args.ticks, args.seed

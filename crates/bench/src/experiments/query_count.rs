@@ -5,12 +5,11 @@
 
 use std::time::Duration;
 
-use igern_bench::report::{ms, print_table, write_csv};
-use igern_bench::{ExpArgs, RunConfig};
+use crate::report::{ms, print_table, write_csv};
+use crate::{run_one, ExpArgs, RunConfig};
 use igern_core::processor::Algorithm;
 
-fn main() {
-    let args = ExpArgs::parse();
+pub(crate) fn run(args: &ExpArgs) {
     println!(
         "E10: query-count sweep — {} objects, grid {}, {} ticks, seed {}",
         args.objects, args.grid, args.ticks, args.seed
@@ -26,8 +25,8 @@ fn main() {
             num_queries: nq,
             ..RunConfig::mono(args.objects, args.grid, args.ticks, args.seed)
         };
-        let igern = igern_bench::run_one(&cfg, Algorithm::IgernMono);
-        let crnn = igern_bench::run_one(&cfg, Algorithm::Crnn);
+        let igern = run_one(&cfg, Algorithm::IgernMono);
+        let crnn = run_one(&cfg, Algorithm::Crnn);
         // mean_time() is per query per tick; total per tick = × nq.
         let total = |d: Duration| d * nq as u32;
         rows.push(vec![

@@ -8,17 +8,14 @@
 
 use std::time::{Duration, Instant};
 
-use igern_bench::report::{ms, print_table, write_csv};
-use igern_bench::ExpArgs;
+use crate::report::{ms, print_table, write_csv};
+use crate::rtree::{tpl_snapshot_rtree, RTree};
+use crate::{harness, ExpArgs};
 use igern_core::baselines::tpl_snapshot;
-use igern_core::types::ObjectKind;
-use igern_core::SpatialStore;
 use igern_grid::{ObjectId, OpCounters};
 use igern_mobgen::{Workload, WorkloadConfig};
-use igern_rtree::{tpl_snapshot_rtree, RTree};
 
-fn main() {
-    let args = ExpArgs::parse();
+pub(crate) fn run(args: &ExpArgs) {
     println!(
         "E9: substrate ablation (grid vs R-tree) — {} objects, grid {}, {} ticks, seed {}",
         args.objects, args.grid, args.ticks, args.seed
@@ -26,16 +23,12 @@ fn main() {
 
     let mut workload =
         Workload::from_config(&WorkloadConfig::network_mono(args.objects, args.seed));
-    let kinds = vec![ObjectKind::A; workload.len()];
-    let space = workload.mover().space();
-    let mut store = SpatialStore::new(space, args.grid, kinds);
+    let mut store = harness::build_store(&workload, args.grid);
     let mut rtree = RTree::new();
-    let init: Vec<_> = (0..workload.len() as u32)
-        .map(|i| workload.mover().position(i))
-        .collect();
-    store.load(&init);
-    for (i, &p) in init.iter().enumerate() {
-        rtree.insert(ObjectId(i as u32), p).unwrap();
+    for i in 0..workload.len() as u32 {
+        rtree
+            .insert(ObjectId(i), workload.mover().position(i))
+            .unwrap();
     }
     let queries: Vec<ObjectId> = (0..args.queries)
         .map(|i| ObjectId((i * workload.len() / args.queries.max(1)) as u32))

@@ -102,20 +102,18 @@ impl AlgoRun {
     }
 }
 
-/// Instantiate the workload for a config.
-fn build_workload(cfg: &RunConfig) -> Workload {
-    let wcfg = if cfg.bichromatic {
+/// The workload a config describes.
+fn workload_config(cfg: &RunConfig) -> WorkloadConfig {
+    if cfg.bichromatic {
         WorkloadConfig::network_bi(cfg.num_objects, cfg.seed)
     } else {
         WorkloadConfig::network_mono(cfg.num_objects, cfg.seed)
-    };
-    Workload::from_config(&wcfg)
+    }
 }
 
-/// Run one algorithm over the configured workload and aggregate.
-pub fn run_one(cfg: &RunConfig, algorithm: Algorithm) -> AlgoRun {
-    assert!(cfg.ticks >= 1, "need at least the initial tick");
-    let mut workload = build_workload(cfg);
+/// A store over the workload's space, loaded with its kinds and initial
+/// positions.
+pub(crate) fn build_store(workload: &Workload, grid_size: usize) -> SpatialStore {
     let kinds: Vec<ObjectKind> = workload
         .kinds()
         .iter()
@@ -124,15 +122,39 @@ pub fn run_one(cfg: &RunConfig, algorithm: Algorithm) -> AlgoRun {
             ObjKind::B => ObjectKind::B,
         })
         .collect();
-    let space = workload.mover().space();
-    let mut store = SpatialStore::new(space, cfg.grid_size, kinds);
+    let mut store = SpatialStore::new(workload.mover().space(), grid_size, kinds);
     let initial: Vec<_> = (0..workload.len() as u32)
         .map(|i| workload.mover().position(i))
         .collect();
     store.load(&initial);
-    let mut proc = Processor::new(store);
+    store
+}
+
+/// Run one algorithm over the configured workload and aggregate.
+pub fn run_one(cfg: &RunConfig, algorithm: Algorithm) -> AlgoRun {
+    run_workload(
+        &workload_config(cfg),
+        cfg.grid_size,
+        cfg.ticks,
+        cfg.num_queries,
+        algorithm,
+    )
+}
+
+/// [`run_one`] over an explicit workload config (the movement-model and
+/// skew ablations bring their own).
+pub(crate) fn run_workload(
+    wcfg: &WorkloadConfig,
+    grid_size: usize,
+    ticks: usize,
+    num_queries: usize,
+    algorithm: Algorithm,
+) -> AlgoRun {
+    assert!(ticks >= 1, "need at least the initial tick");
+    let mut workload = Workload::from_config(wcfg);
+    let mut proc = Processor::new(build_store(&workload, grid_size));
     let query_kind = ObjKind::A; // bichromatic queries must be A; mono is all-A
-    let query_ids = workload.pick_queries(query_kind, cfg.num_queries);
+    let query_ids = workload.pick_queries(query_kind, num_queries);
     assert!(!query_ids.is_empty(), "no query candidates in workload");
     for &q in &query_ids {
         proc.add_query(ObjectId(q), algorithm);
@@ -140,7 +162,7 @@ pub fn run_one(cfg: &RunConfig, algorithm: Algorithm) -> AlgoRun {
     // Tick 0: initial evaluation.
     proc.evaluate_all();
     // Ticks 1..: move everything, re-evaluate.
-    for _ in 1..cfg.ticks {
+    for _ in 1..ticks {
         let ups: Vec<(ObjectId, _)> = workload
             .advance()
             .iter()
@@ -150,7 +172,7 @@ pub fn run_one(cfg: &RunConfig, algorithm: Algorithm) -> AlgoRun {
     }
     // Aggregate across queries.
     let nq = proc.num_queries();
-    let mut tick_times = vec![Duration::ZERO; cfg.ticks];
+    let mut tick_times = vec![Duration::ZERO; ticks];
     let mut ops = OpCounters::new();
     let mut monitored_sum = 0u64;
     let mut answer_sum = 0u64;
@@ -158,7 +180,7 @@ pub fn run_one(cfg: &RunConfig, algorithm: Algorithm) -> AlgoRun {
     let mut samples = 0u64;
     for qi in 0..nq {
         let hist = proc.history(qi);
-        assert_eq!(hist.len(), cfg.ticks, "one sample per tick per query");
+        assert_eq!(hist.len(), ticks, "one sample per tick per query");
         for (t, s) in hist.iter().enumerate() {
             tick_times[t] += s.elapsed;
             ops.merge(&s.ops);
@@ -171,7 +193,7 @@ pub fn run_one(cfg: &RunConfig, algorithm: Algorithm) -> AlgoRun {
     for t in &mut tick_times {
         *t /= nq as u32;
     }
-    let mut accumulated = Vec::with_capacity(cfg.ticks);
+    let mut accumulated = Vec::with_capacity(ticks);
     let mut acc = Duration::ZERO;
     for &t in &tick_times {
         acc += t;
@@ -192,14 +214,8 @@ pub fn run_one(cfg: &RunConfig, algorithm: Algorithm) -> AlgoRun {
 /// Count grid cell changes for a workload at a given grid size, without
 /// evaluating any query (Figure 6a's metric).
 pub fn measure_cell_changes(cfg: &RunConfig) -> u64 {
-    let mut workload = build_workload(cfg);
-    let kinds = vec![ObjectKind::A; workload.len()];
-    let space = workload.mover().space();
-    let mut store = SpatialStore::new(space, cfg.grid_size, kinds);
-    let initial: Vec<_> = (0..workload.len() as u32)
-        .map(|i| workload.mover().position(i))
-        .collect();
-    store.load(&initial);
+    let mut workload = Workload::from_config(&workload_config(cfg));
+    let mut store = build_store(&workload, cfg.grid_size);
     for _ in 1..cfg.ticks {
         for u in workload.advance().to_vec() {
             store.apply(ObjectId(u.id), u.pos);

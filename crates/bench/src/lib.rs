@@ -1,26 +1,32 @@
 //! Experiment harness for the Section-7 reproduction.
 //!
-//! One binary per paper figure (see DESIGN.md §5 and EXPERIMENTS.md):
+//! One driver, `experiments`, runs one function per paper figure (see
+//! DESIGN.md §5 and EXPERIMENTS.md); `--only e1,e8,…` selects by id:
 //!
-//! | binary                 | figures  |
-//! |------------------------|----------|
-//! | `exp_grid_size`        | 6a, 6b   |
-//! | `exp_mono_scalability` | 7a, 7b   |
-//! | `exp_mono_stability`   | 8a, 8b   |
-//! | `exp_bi_scalability`   | 9a, 9b   |
-//! | `exp_bi_stability`     | 10a, 10b |
-//! | `exp_cost_model`       | §6       |
-//! | `exp_ablation`         | A1/A2/A4 |
-//! | `exp_engine`           | engine scaling (`BENCH_engine.json`) |
-//! | `run_all`              | all      |
+//! | id    | reproduces                                  |
+//! |-------|---------------------------------------------|
+//! | `e1`  | Figures 6a, 6b (grid size)                  |
+//! | `e2`  | Figures 7a, 7b (mono scalability)           |
+//! | `e3`  | Figures 8a, 8b (mono stability)             |
+//! | `e4`  | Figures 9a, 9b (bi scalability)             |
+//! | `e5`  | Figures 10a, 10b (bi stability)             |
+//! | `e6`  | §6 cost model                               |
+//! | `e7`  | ablations A1/A2/A4/A6/A7                    |
+//! | `e8`  | RkNN extension, k sweep                     |
+//! | `e9`  | ablation A5: grid vs the [`rtree`] substrate |
+//! | `e10` | query-count scalability                     |
 //!
-//! Every binary prints the same series the paper plots (plus
+//! Every experiment prints the same series the paper plots (plus
 //! machine-independent operation counts) and writes CSV into `results/`.
+//! Performance claims about the system itself live in `benchmark/`, not
+//! here.
 
 pub mod args;
+mod experiments;
 pub mod harness;
-pub mod microtime;
 pub mod report;
+pub mod rtree;
 
 pub use args::ExpArgs;
+pub use experiments::run;
 pub use harness::{run_one, AlgoRun, RunConfig};

@@ -1,7 +1,7 @@
 //! A point R-tree (Guttman, with quadratic split) — the index family the
 //! original TPL algorithm (Tao et al., VLDB 2004) was designed for.
 //!
-//! The grid of `igern-grid` is the paper's index; this crate exists for
+//! The grid of `igern-grid` is the paper's index; this module exists for
 //! the substrate ablation (DESIGN.md A5): it hosts moving points under
 //! insert/delete/update, answers the same NN / k-NN / range / emptiness
 //! queries, and implements the *native* TPL snapshot RNN algorithm —
@@ -16,7 +16,7 @@
 //! ```
 //! use igern_geom::Point;
 //! use igern_grid::{ObjectId, OpCounters};
-//! use igern_rtree::{nearest, RTree};
+//! use igern_bench::rtree::{nearest, RTree};
 //!
 //! let mut tree = RTree::new();
 //! for i in 0..100u32 {
@@ -26,7 +26,7 @@
 //! let mut ops = OpCounters::new();
 //! let n = nearest(&tree, Point::new(50.4, 50.4), None, &mut ops).unwrap();
 //! assert_eq!(n.id, ObjectId(3));
-//! # Ok::<(), igern_rtree::RTreeError>(())
+//! # Ok::<(), igern_bench::rtree::RTreeError>(())
 //! ```
 
 pub mod query;

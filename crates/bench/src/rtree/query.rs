@@ -7,7 +7,7 @@ use std::collections::BinaryHeap;
 use igern_geom::{Circle, Point};
 use igern_grid::{Neighbor, ObjectId, OpCounters};
 
-use crate::tree::{Node, RTree};
+use super::tree::{Node, RTree};
 
 /// Min-heap item: either a subtree (by bbox mindist) or a data entry.
 enum HeapItem<'t> {

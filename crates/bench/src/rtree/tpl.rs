@@ -8,8 +8,8 @@
 use igern_geom::{HalfPlane, Point, RegionSide};
 use igern_grid::{ObjectId, OpCounters};
 
-use crate::query::exists_closer_than;
-use crate::tree::{Node, RTree};
+use super::query::exists_closer_than;
+use super::tree::{Node, RTree};
 
 /// Result of one snapshot evaluation (mirror of the grid-based
 /// `igern_core::baselines::TplAnswer`).

@@ -2,9 +2,9 @@
 //! operations must return the typed error, leave the tree byte-for-byte
 //! functional, and never corrupt the structural invariants.
 
+use igern_bench::rtree::{nearest, RTree, RTreeError};
 use igern_geom::Point;
 use igern_grid::{ObjectId, OpCounters};
-use igern_rtree::{nearest, RTree, RTreeError};
 
 /// Deterministic pseudo-random point from an index (splitmix-style
 /// mixing; no RNG dependency needed for these paths).

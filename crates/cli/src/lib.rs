@@ -623,13 +623,13 @@ pub fn wal_inspect<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `wal drive`: the crash-recovery smoke driver. Connects to a served
-/// instance, streams a seeded workload through manual ticks, and
-/// mirrors every mutation into an in-process [`TickRunner`]; each tick
-/// the pushed answers must match the mirror exactly. Prints the
-/// mirror's whole-state digest per tick — after the server is
-/// `kill -9`ed and restarted, its recovery banner must report the same
-/// digest this driver last printed.
+/// `wal drive`: the driver of CI's serving and crash-recovery smokes.
+/// Connects to a served instance, streams a seeded workload through
+/// manual ticks, and mirrors every mutation into an in-process
+/// [`TickRunner`]; each tick the pushed answers must match the mirror
+/// exactly. Prints the mirror's whole-state digest per tick — after the
+/// server is `kill -9`ed and restarted, its recovery banner must report
+/// the same digest this driver last printed.
 pub fn wal_drive<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     use igern_server::Client;
 
@@ -754,6 +754,11 @@ pub fn wal_drive<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let hold_ms: u64 = args.num("hold-ms", 0u64)?;
     if hold_ms > 0 {
         std::thread::sleep(Duration::from_millis(hold_ms));
+    }
+    if bool_arg(args, "shutdown", false)? {
+        client
+            .shutdown_server()
+            .map_err(|e| CliError(e.to_string()))?;
     }
     Ok(())
 }
@@ -1151,7 +1156,7 @@ COMMANDS:
                [--replay-out FILE] | --replay FILE
   wal inspect  --dir DIR
   wal drive    --addr HOST:PORT [--objects N] [--subs N] [--ticks N] [--seed N]
-               [--space SIDE] [--grid N] [--hold-ms N]
+               [--space SIDE] [--grid N] [--hold-ms N] [--shutdown true|false]
 
 `run --workers N` (default 1 = serial) evaluates queries on N sharded
 worker threads; answers are identical to the serial run. `--batch on`
@@ -1203,7 +1208,8 @@ recovery. `wal drive` streams a seeded workload at a served instance
 while mirroring it into an in-process runner, failing on any answer
 divergence and printing the per-tick state digest the server must
 recover to after `kill -9` (`--hold-ms` keeps its subscriptions alive
-while the kill lands).
+while the kill lands; `--shutdown true` ends the run with a SHUTDOWN
+frame, so a clean server exit is part of what the drive checks).
 ";
 
 #[cfg(test)]
@@ -1774,7 +1780,7 @@ mod tests {
         };
         // Drive a seeded workload; the command itself asserts served
         // answers match its offline mirror every tick.
-        let a = args(&[
+        let drive = [
             "--addr",
             &addr,
             "--objects",
@@ -1785,9 +1791,9 @@ mod tests {
             "12",
             "--seed",
             "3",
-        ]);
+        ];
         let mut buf = Vec::new();
-        wal_drive(&a, &mut buf).unwrap();
+        wal_drive(&args(&drive), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("tick 12 digest "), "{text}");
         assert!(text.contains("drove 12 ticks"), "{text}");
@@ -1803,8 +1809,13 @@ mod tests {
         assert!(inspect.contains("recovery: tick"), "{inspect}");
         assert!(inspect.contains("clean true"), "{inspect}");
 
-        let mut c = igern_server::Client::connect(&*addr).unwrap();
-        c.shutdown_server().unwrap();
+        // A second drive lands on a server whose tick counter is
+        // already at 12 (as a recovered one's is) and ends it.
+        let a = args(&[&drive[..], &["--shutdown", "true"]].concat());
+        let mut buf = Vec::new();
+        wal_drive(&a, &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("drove 12 ticks to tick 24"), "{text}");
         let out = handle.join().expect("serve thread");
         assert!(out.contains("serving on"), "{out}");
 

@@ -5,7 +5,7 @@
 //! subscription by applying pushed snapshots and deltas — after any
 //! [`Event::TickEnd`], [`Client::answer`] equals the server-side
 //! `TickRunner::answer` for that tick, bit for bit. The equivalence
-//! tests and the `exp_server` bench both drive this type.
+//! tests, `igern wal drive` and the benchmark all drive this type.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;

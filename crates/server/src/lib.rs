@@ -21,7 +21,7 @@
 //!
 //! See `DESIGN.md` §12 for the frame table and threading model. The
 //! in-process [`Client`] speaks the same protocol and is what the
-//! equivalence tests and `exp_server` bench drive.
+//! equivalence tests, `igern wal drive` and the benchmark drive.
 //!
 //! [`Processor`]: igern_core::processor::Processor
 //! [`ShardedEngine`]: igern_engine::ShardedEngine

@@ -12,7 +12,7 @@ use igern::core::prune::PruneGranularity;
 use igern::core::{BiIgern, EvalScratch, MonoIgern};
 use igern::geom::{Aabb, Circle, ConvexPolygon, HalfPlane, Point, VoronoiCell};
 use igern::grid::{nearest, Grid, ObjectId, OpCounters};
-use igern_rtree::{tpl_snapshot_rtree, RTree};
+use igern_bench::rtree::{tpl_snapshot_rtree, RTree};
 
 const SPACE: f64 = 100.0;
 const CASES: usize = 64;
@@ -262,7 +262,7 @@ fn rtree_agrees_with_grid_and_oracle() {
         t.check_invariants();
         let mut ops = OpCounters::new();
         let via_grid = nearest(&g, q, None, &mut ops).map(|n| n.dist_sq);
-        let via_tree = igern_rtree::nearest(&t, q, None, &mut ops).map(|n| n.dist_sq);
+        let via_tree = igern_bench::rtree::nearest(&t, q, None, &mut ops).map(|n| n.dist_sq);
         assert_eq!(via_grid, via_tree, "case {case}");
         let objs: Vec<(ObjectId, Point)> = g.iter().collect();
         let want = naive::mono_rnn(&objs, q, None);

@@ -10,7 +10,7 @@ use igern::core::prune::{clean_dominated_k, recompute_alive_k};
 use igern::geom::{Aabb, Point};
 use igern::grid::{CellSet, Grid, ObjectId, OpCounters};
 use igern::mobgen::RecordedTrace;
-use igern_rtree::RTree;
+use igern_bench::rtree::RTree;
 
 const SPACE: f64 = 100.0;
 
@@ -82,7 +82,7 @@ fn rtree_churn_preserves_invariants() {
         assert_eq!(tree.len(), live_count, "case {case}");
         // NN equivalence with the mirror.
         let mut ops_ctr = OpCounters::new();
-        let got = igern_rtree::nearest(&tree, probe, None, &mut ops_ctr).map(|n| n.dist_sq);
+        let got = igern_bench::rtree::nearest(&tree, probe, None, &mut ops_ctr).map(|n| n.dist_sq);
         let want = mirror
             .iter()
             .flatten()
