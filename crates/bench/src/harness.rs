@@ -1,16 +1,17 @@
 //! The shared experiment runner: one workload, one algorithm, full
 //! per-tick measurement.
 //!
-//! Each algorithm is run in its own processor over a freshly generated —
+//! Each algorithm is run in its own tick runner over a freshly generated —
 //! but seed-identical — workload, so all algorithms consume byte-identical
 //! update streams (the mobgen determinism contract) without interfering
 //! with each other's caches or timers.
 
 use std::time::Duration;
 
-use igern_core::processor::{Algorithm, Processor};
+use igern_core::processor::Algorithm;
 use igern_core::types::ObjectKind;
 use igern_core::SpatialStore;
+use igern_engine::{Placement, TickRunner};
 use igern_grid::{ObjectId, OpCounters};
 use igern_mobgen::{ObjKind, Workload, WorkloadConfig};
 
@@ -152,12 +153,13 @@ pub(crate) fn run_workload(
 ) -> AlgoRun {
     assert!(ticks >= 1, "need at least the initial tick");
     let mut workload = Workload::from_config(wcfg);
-    let mut proc = Processor::new(build_store(&workload, grid_size));
+    let mut proc = TickRunner::new(build_store(&workload, grid_size), 1, Placement::RoundRobin);
     let query_kind = ObjKind::A; // bichromatic queries must be A; mono is all-A
     let query_ids = workload.pick_queries(query_kind, num_queries);
     assert!(!query_ids.is_empty(), "no query candidates in workload");
     for &q in &query_ids {
-        proc.add_query(ObjectId(q), algorithm);
+        proc.add_query(ObjectId(q), algorithm)
+            .expect("picked query objects are valid anchors");
     }
     // Tick 0: initial evaluation.
     proc.evaluate_all();

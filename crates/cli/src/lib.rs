@@ -647,8 +647,8 @@ pub fn wal_drive<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     }
     let subs = subs.min(objects);
 
-    // The offline mirror: same space/grid as the server, serial
-    // backend (worker count never changes answers).
+    // The offline mirror: same space/grid as the server, one worker
+    // (the worker count never changes answers).
     let space = Aabb::from_coords(0.0, 0.0, side, side);
     let store = SpatialStore::new(space, grid, Vec::new());
     let mut mirror = TickRunner::new(store, 1, Placement::RoundRobin);

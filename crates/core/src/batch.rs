@@ -74,23 +74,6 @@ impl BatchClass {
     }
 }
 
-/// A lane of query slots the batch evaluator can run: the serial
-/// processor's query vector or an engine worker's shard. Indices are
-/// stable for the duration of one [`BatchEvaluator::run`]; `None` marks a
-/// hole (e.g. a removed query) that produces no sample.
-pub trait SlotLane {
-    /// Number of lane positions (including holes).
-    fn len(&self) -> usize;
-
-    /// Whether the lane has no positions.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The slot at lane position `i`, or `None` for a hole.
-    fn slot(&mut self, i: usize) -> Option<&mut QuerySlot>;
-}
-
 /// One planned (non-skipped, batchable) evaluation.
 #[derive(Debug, Clone, Copy)]
 struct PlanEntry {
@@ -112,7 +95,7 @@ pub struct BatchEvaluator {
     /// Union of a group's watch sets: the cells its members may read,
     /// primed in ring order from the anchor cell.
     watch: CellSet,
-    out: Vec<Option<TickSample>>,
+    out: Vec<TickSample>,
     groups: u64,
     members: u64,
 }
@@ -133,17 +116,16 @@ impl BatchEvaluator {
     /// sort the batchable remainder by `(class, cell, lane index)` and run
     /// each group — multi-member groups prime the feeds over the union of
     /// their watch sets before their members evaluate.
-    pub fn run<L: SlotLane>(
+    pub fn run(
         &mut self,
         store: &SpatialStore,
-        lane: &mut L,
+        lane: &mut [QuerySlot],
         tick: u64,
         route: bool,
         scratch: &mut EvalScratch,
     ) {
-        let n = lane.len();
         self.out.clear();
-        self.out.resize(n, None);
+        self.out.resize(lane.len(), TickSample::default());
         self.plan.clear();
         self.groups = 0;
         self.members = 0;
@@ -152,10 +134,9 @@ impl BatchEvaluator {
         self.feed_b.begin(store.grid_b().num_cells());
 
         // Pass 1: presample in lane order; plan the batchable evaluations.
-        for i in 0..n {
-            let Some(slot) = lane.slot(i) else { continue };
+        for (i, slot) in lane.iter_mut().enumerate() {
             match presample(store, slot, tick, route) {
-                Presample::Done(sample) => self.out[i] = Some(sample),
+                Presample::Done(sample) => self.out[i] = sample,
                 Presample::Evaluate(pos) => match slot.monitor.batch_class() {
                     Some(class) => self.plan.push(PlanEntry {
                         class,
@@ -164,14 +145,8 @@ impl BatchEvaluator {
                         pos,
                     }),
                     None => {
-                        self.out[i] = Some(evaluate_at(
-                            store,
-                            slot,
-                            pos,
-                            tick,
-                            scratch,
-                            Feeds::default(),
-                        ));
+                        self.out[i] =
+                            evaluate_at(store, slot, pos, tick, scratch, Feeds::default());
                     }
                 },
             }
@@ -191,15 +166,14 @@ impl BatchEvaluator {
                 // Singleton: nothing to share, so skip the priming cost
                 // and run the plain path (feeds only affect performance).
                 let e = self.plan[g];
-                let slot = lane.slot(e.idx as usize).expect("planned slot vanished");
-                self.out[e.idx as usize] = Some(evaluate_at(
+                self.out[e.idx as usize] = evaluate_at(
                     store,
-                    slot,
+                    &mut lane[e.idx as usize],
                     e.pos,
                     tick,
                     scratch,
                     Feeds::default(),
-                ));
+                );
             } else {
                 self.groups += 1;
                 self.members += (h - g) as u64;
@@ -212,10 +186,10 @@ impl BatchEvaluator {
     /// Prime the feeds over a multi-member group's read closure, then
     /// evaluate its members against the shared feeds.
     #[allow(clippy::too_many_arguments)]
-    fn run_group<L: SlotLane>(
+    fn run_group(
         &mut self,
         store: &SpatialStore,
-        lane: &mut L,
+        lane: &mut [QuerySlot],
         tick: u64,
         scratch: &mut EvalScratch,
         g: usize,
@@ -234,10 +208,8 @@ impl BatchEvaluator {
             self.watch = CellSet::new(grid.num_cells());
         }
         for e in &self.plan[g..h] {
-            if let Some(slot) = lane.slot(e.idx as usize) {
-                if let Some(w) = slot.monitor.monitored_cells() {
-                    self.watch.union_with(w);
-                }
+            if let Some(w) = lane[e.idx as usize].monitor.monitored_cells() {
+                self.watch.union_with(w);
             }
         }
         self.watch.insert(cell);
@@ -280,14 +252,13 @@ impl BatchEvaluator {
             }
         };
         for e in &self.plan[g..h] {
-            let slot = lane.slot(e.idx as usize).expect("planned slot vanished");
-            self.out[e.idx as usize] = Some(evaluate_at(store, slot, e.pos, tick, scratch, feeds));
+            let slot = &mut lane[e.idx as usize];
+            self.out[e.idx as usize] = evaluate_at(store, slot, e.pos, tick, scratch, feeds);
         }
     }
 
-    /// The samples of the last [`BatchEvaluator::run`], by lane index;
-    /// `None` at lane holes.
-    pub fn samples(&self) -> &[Option<TickSample>] {
+    /// The samples of the last [`BatchEvaluator::run`], by lane index.
+    pub fn samples(&self) -> &[TickSample] {
         &self.out
     }
 
@@ -310,17 +281,6 @@ mod tests {
     use crate::types::ObjectKind;
     use igern_geom::Aabb;
     use igern_grid::ObjectId;
-
-    struct VecLane(Vec<QuerySlot>);
-
-    impl SlotLane for VecLane {
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-        fn slot(&mut self, i: usize) -> Option<&mut QuerySlot> {
-            self.0.get_mut(i)
-        }
-    }
 
     fn store(n: usize, seed: u64) -> SpatialStore {
         let mut state = seed;
@@ -371,7 +331,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let mut plain = mk();
-        let mut lane = VecLane(mk());
+        let mut lane = mk();
         let mut scratch = EvalScratch::default();
         let mut batch = BatchEvaluator::new();
         let mut state = 99u64;
@@ -383,13 +343,13 @@ mod tests {
             batch.run(&s, &mut lane, tick, true, &mut scratch);
             for (i, slot) in plain.iter_mut().enumerate() {
                 let want = evaluate_query(&s, slot, tick, true, &mut scratch);
-                let got = batch.samples()[i].expect("sample for every slot");
+                let got = batch.samples()[i];
                 assert_eq!(got.ops, want.ops, "tick {tick} slot {i}");
                 assert_eq!(got.skipped, want.skipped, "tick {tick} slot {i}");
                 assert_eq!(got.answer_size, want.answer_size, "tick {tick} slot {i}");
                 assert_eq!(got.monitored, want.monitored, "tick {tick} slot {i}");
                 assert_eq!(
-                    lane.0[i].answer, slot.answer,
+                    lane[i].answer, slot.answer,
                     "tick {tick} slot {i} answers diverge"
                 );
             }
@@ -425,53 +385,19 @@ mod tests {
             Point::new(8.0, 2.0),
             Point::new(1.0, 1.0),
         ]);
-        let mut lane = VecLane(
-            (0..3)
-                .map(|i| {
-                    QuerySlot::new(
-                        ObjectId(i),
-                        Algorithm::IgernMono.make_monitor(Some(ObjectId(i))),
-                    )
-                })
-                .collect(),
-        );
+        let mut lane: Vec<QuerySlot> = (0..3)
+            .map(|i| {
+                QuerySlot::new(
+                    ObjectId(i),
+                    Algorithm::IgernMono.make_monitor(Some(ObjectId(i))),
+                )
+            })
+            .collect();
         let mut batch = BatchEvaluator::new();
         let mut scratch = EvalScratch::default();
         batch.run(&s, &mut lane, 0, false, &mut scratch);
         assert_eq!(batch.groups(), 1, "one anchor cell, one class");
         assert_eq!(batch.members(), 3);
-        assert!(batch.samples().iter().all(|s| s.is_some()));
-    }
-
-    /// Lane holes produce no sample and break nothing.
-    #[test]
-    fn lane_holes_are_skipped() {
-        struct HoleyLane(Vec<Option<QuerySlot>>);
-        impl SlotLane for HoleyLane {
-            fn len(&self) -> usize {
-                self.0.len()
-            }
-            fn slot(&mut self, i: usize) -> Option<&mut QuerySlot> {
-                self.0.get_mut(i).and_then(|s| s.as_mut())
-            }
-        }
-        let s = store(40, 11);
-        let anchor = (0..40u32)
-            .map(ObjectId)
-            .find(|&id| s.kind(id) == ObjectKind::A)
-            .unwrap();
-        let mut lane = HoleyLane(vec![
-            None,
-            Some(QuerySlot::new(
-                anchor,
-                Algorithm::IgernMono.make_monitor(Some(anchor)),
-            )),
-            None,
-        ]);
-        let mut batch = BatchEvaluator::new();
-        batch.run(&s, &mut lane, 0, false, &mut EvalScratch::default());
-        assert!(batch.samples()[0].is_none());
-        assert!(batch.samples()[1].is_some());
-        assert!(batch.samples()[2].is_none());
+        assert_eq!(batch.samples().len(), 3);
     }
 }

@@ -1,10 +1,7 @@
-//! The per-query evaluation step, factored out of the processor so every
-//! execution engine — the serial [`Processor`] and the sharded
-//! `igern-engine` worker pool — runs the exact same code path and
-//! therefore produces bit-identical answers, skip decisions, and
-//! deterministic metrics.
-//!
-//! [`Processor`]: crate::processor::Processor
+//! The per-query evaluation step. `igern-engine`'s `TickRunner` runs it
+//! over every shard of standing queries — inline for one shard, on
+//! scoped threads for more — so answers, skip decisions, and
+//! deterministic metrics do not depend on the worker count.
 
 use std::time::Instant;
 
@@ -78,9 +75,9 @@ pub fn can_skip(store: &SpatialStore, slot: &QuerySlot, anchor: igern_geom::Poin
 /// runs first and a zero-cost skipped sample is returned when the
 /// previous answer is provably still valid.
 ///
-/// This is *the* per-query step shared by every execution engine; it only
-/// reads `store` (plus the slot it mutates), so disjoint slots can be
-/// evaluated concurrently against the same frozen store.
+/// This is *the* per-query step; it only reads `store` (plus the slot it
+/// mutates), so disjoint slots can be evaluated concurrently against the
+/// same frozen store.
 ///
 /// A slot whose anchor object has vanished from the store (a desync — the
 /// engine should have removed the query first) degrades gracefully: the
@@ -88,10 +85,10 @@ pub fn can_skip(store: &SpatialStore, slot: &QuerySlot, anchor: igern_geom::Poin
 /// `ops.desyncs` is set, so the event is counted instead of panicking
 /// mid-tick.
 ///
-/// `scratch` is the execution lane's reusable evaluation workspace; a warm
-/// scratch makes the steady-state tick allocation-free. Lanes must not
-/// share one scratch concurrently, but any slot may be evaluated with any
-/// lane's scratch — the answer does not depend on the scratch contents.
+/// `scratch` is the shard's reusable evaluation workspace; a warm scratch
+/// makes the steady-state tick allocation-free. Shards must not share one
+/// scratch concurrently, but any slot may be evaluated with any shard's
+/// scratch — the answer does not depend on the scratch contents.
 pub fn evaluate_query(
     store: &SpatialStore,
     slot: &mut QuerySlot,

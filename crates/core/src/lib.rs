@@ -31,12 +31,12 @@
 //! * [`monitor`] — the [`ContinuousMonitor`] trait: one interface over
 //!   every evaluation strategy, each publishing the *watch set* of grid
 //!   cells used for dirty-region update routing.
-//! * [`processor`] — a continuous query processor running many queries of
-//!   mixed algorithms over one stream, skipping queries whose watched
-//!   cells saw no updates and collecting per-tick metrics.
-//! * [`eval`] — the per-query evaluation step ([`eval::evaluate_query`])
-//!   shared by the serial processor and the sharded `igern-engine`
-//!   worker pool, so every execution engine produces identical answers.
+//! * [`processor`] — [`processor::Algorithm`], the evaluation strategies
+//!   a standing query can be registered with.
+//! * [`eval`] — the per-query evaluation step ([`eval::evaluate_query`]):
+//!   skip the query when its watched cells saw no update, otherwise run
+//!   its monitor and record a per-tick sample. `igern-engine`'s
+//!   `TickRunner` walks the registered queries through it every tick.
 //! * [`batch`] — the anchor-cell shared-scan batch evaluator
 //!   ([`batch::BatchEvaluator`]): same-class queries anchored in the same
 //!   cell share one ring-ordered priming pass, bit-identical to the
@@ -101,7 +101,7 @@ pub mod scratch;
 pub mod store;
 pub mod types;
 
-pub use batch::{BatchClass, BatchEvaluator, Feeds, SlotLane};
+pub use batch::{BatchClass, BatchEvaluator, Feeds};
 pub use bi::BiIgern;
 pub use eval::{can_skip, evaluate_at, evaluate_query, presample, Presample, QuerySlot};
 pub use history::History;

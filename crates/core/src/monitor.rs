@@ -741,8 +741,8 @@ impl ContinuousMonitor for VoronoiRepeatMonitor {
     }
 }
 
-/// Inert monitor installed in tombstoned query slots so their evaluator
-/// state (and its allocations) can be dropped.
+/// Inert monitor: evaluates nothing and answers nothing (a stand-in for
+/// a slot whose evaluator state has been dropped).
 pub struct NullMonitor;
 
 impl ContinuousMonitor for NullMonitor {

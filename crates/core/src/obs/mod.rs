@@ -28,11 +28,10 @@
 //!
 //! # Pipeline metrics
 //!
-//! [`PipelineMetrics`] bundles the per-sample instruments common to every
-//! tick engine (serial processor and sharded engine), so both report the
-//! identical measurement surface — skip/evaluate counts, per-query
-//! latency, §6 operation counters, and the `desync_total` counter fed by
-//! graceful cell-desync handling.
+//! [`PipelineMetrics`] bundles the per-sample instruments of the tick
+//! loop — the same measurement surface at every worker count:
+//! skip/evaluate counts, per-query latency, §6 operation counters, and
+//! the `desync_total` counter fed by graceful cell-desync handling.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -334,9 +333,9 @@ impl MetricsRegistry {
     }
 }
 
-/// The per-sample instrument bundle shared by every tick engine, so the
-/// serial processor and the sharded engine expose one measurement
-/// surface. Names are prefixed (`<prefix>_queries_evaluated_total`, …).
+/// The per-sample instrument bundle of the tick loop: one measurement
+/// surface at every worker count. Names are prefixed
+/// (`<prefix>_queries_evaluated_total`, …).
 #[derive(Debug, Clone)]
 pub struct PipelineMetrics {
     /// Ticks completed (`<prefix>_ticks_total`).

@@ -2,12 +2,11 @@
 //! every [`ContinuousMonitor`] evaluation so steady-state ticks allocate
 //! nothing.
 //!
-//! One `EvalScratch` lives per execution lane (the serial processor owns
-//! one, each engine worker owns one, each scoped thread of the parallel
-//! step owns one). The buffers inside are written-then-read within a
-//! single evaluation; nothing in them carries meaning across calls, so a
-//! scratch can be shared freely between queries and algorithms on the
-//! same lane.
+//! One `EvalScratch` lives per shard of the tick runner (`igern-engine`),
+//! for the runner's whole lifetime. The buffers inside are
+//! written-then-read within a single evaluation; nothing in them carries
+//! meaning across calls, so a scratch can be shared freely between
+//! queries and algorithms on the same shard.
 //!
 //! [`ContinuousMonitor`]: crate::monitor::ContinuousMonitor
 
@@ -17,7 +16,7 @@ use igern_grid::{CellOrderScratch, CellSet, Neighbor, ObjectId};
 use crate::netspace::NetScratch;
 use crate::prune::PruneScratch;
 
-/// Per-lane scratch buffers for monitor evaluation.
+/// Per-shard scratch buffers for monitor evaluation.
 ///
 /// Fields are public so algorithm internals can borrow disjoint buffers
 /// simultaneously (e.g. staging sites in [`sites`] while redrawing into
@@ -45,7 +44,7 @@ pub struct EvalScratch {
     /// Network-distance state: memoized Dijkstra expansions and the
     /// expansion heap. Unlike the buffers above, the memo *does* carry
     /// meaning across calls — the graph is static, so cached expansions
-    /// stay valid for the lane's lifetime (and results never depend on
+    /// stay valid for the shard's lifetime (and results never depend on
     /// which entries happen to be warm).
     pub net: NetScratch,
 }

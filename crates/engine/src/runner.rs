@@ -1,117 +1,229 @@
-//! [`TickRunner`] — one tick backend behind a worker-count switch.
+//! [`TickRunner`] — the one tick loop.
 //!
-//! The CLI's `run` command and the network server both need "a thing
-//! that ticks": the serial [`Processor`] when one worker suffices, the
-//! sharded [`ShardedEngine`] otherwise. Both produce bit-identical
-//! answers; this enum forwards the shared API so drivers are written
-//! once. Unlike the raw serial processor, every registration error is
-//! reported as an [`EngineError`] value (the serial variant pre-checks
-//! the conditions the processor would assert on), so long-running
-//! drivers never unwind on bad input.
+//! # Dirty-region update routing
 //!
-//! [`Processor`]: igern_core::processor::Processor
+//! The store journals which grid cells were touched since the last tick.
+//! Before re-evaluating a query, the per-query step intersects the tick's
+//! dirty set with the query's watched cells
+//! ([`ContinuousMonitor::monitored_cells`]) plus its anchor cell; when
+//! they are disjoint, the previous answer is provably still valid and the
+//! query is skipped, recording a zero-cost sample marked
+//! [`TickSample::skipped`](igern_core::metrics::TickSample::skipped).
+//! Routing is on by default and can be turned off with
+//! [`TickRunner::set_skip_routing`] (every query then re-runs every tick).
+//!
+//! # Shards
+//!
+//! A round never moves a query or the store between threads: every shard
+//! is evaluated in place, borrowing the store immutably for the length of
+//! [`std::thread::scope`]. The scope's join is the only synchronisation —
+//! when it returns, the runner holds the store and every shard
+//! exclusively again, and a shard that panicked has turned into a panic
+//! of the round. With one worker there is no scope and no thread: the
+//! single shard runs as a plain loop on the caller.
 
+use std::time::Instant;
+
+use igern_core::eval::{evaluate_query, QuerySlot};
 use igern_core::history::History;
-use igern_core::hooks::SharedSimHooks;
-use igern_core::obs::{MetricsRegistry, PipelineMetrics};
-use igern_core::processor::{Algorithm, Processor};
-use igern_core::{DistanceMode, ObjectKind, SpatialStore};
+use igern_core::hooks::{SharedSimHooks, SimHooks};
+use igern_core::obs::MetricsRegistry;
+use igern_core::processor::Algorithm;
+use igern_core::{
+    BatchEvaluator, ContinuousMonitor, DistanceMode, EvalScratch, ObjectKind, SpatialStore,
+};
 use igern_geom::Point;
 use igern_grid::ObjectId;
 
-use crate::{EngineError, EngineMetrics, Placement, ShardedEngine};
+use crate::{EngineError, EngineMetrics, Placement};
 
-/// Either tick backend: the serial processor (`workers == 1`) or the
-/// sharded engine. Answers are identical across the two.
-pub enum TickRunner {
-    /// The serial [`Processor`].
-    Serial(Box<Processor>),
-    /// The sharded multi-worker engine.
-    Sharded(Box<ShardedEngine>),
+/// One disjoint share of the standing queries, evaluated as a unit. The
+/// three vectors are parallel and kept in ascending query-id order, so a
+/// shard always evaluates its queries — and forms its batch groups — in
+/// the same order.
+#[derive(Default)]
+struct Shard {
+    qids: Vec<usize>,
+    slots: Vec<QuerySlot>,
+    histories: Vec<History>,
+    /// Reusable evaluation workspace; once warm, a steady-state tick
+    /// allocates nothing.
+    scratch: EvalScratch,
+    /// Shared-scan batch evaluator (used when batching is enabled); its
+    /// feeds and plan buffers warm up once and are reused every tick.
+    batcher: BatchEvaluator,
+}
+
+impl Shard {
+    fn insert(&mut self, qid: usize, slot: QuerySlot, history: History) {
+        let at = self.qids.partition_point(|&id| id < qid);
+        self.qids.insert(at, qid);
+        self.slots.insert(at, slot);
+        self.histories.insert(at, history);
+    }
+
+    fn remove(&mut self, at: usize) -> (usize, QuerySlot, History) {
+        (
+            self.qids.remove(at),
+            self.slots.remove(at),
+            self.histories.remove(at),
+        )
+    }
+
+    /// Evaluate every query of the shard against the frozen `store` and
+    /// log one sample each.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &mut self,
+        worker: usize,
+        store: &SpatialStore,
+        tick: u64,
+        route: bool,
+        batch: bool,
+        hooks: Option<&dyn SimHooks>,
+        metrics: Option<&EngineMetrics>,
+    ) {
+        if let Some(h) = hooks {
+            h.on_worker_shard(worker, tick);
+        }
+        let start = metrics.is_some().then(Instant::now);
+        if batch {
+            self.batcher
+                .run(store, &mut self.slots, tick, route, &mut self.scratch);
+            for (history, sample) in self.histories.iter_mut().zip(self.batcher.samples()) {
+                if let Some(m) = metrics {
+                    m.pipeline.record_sample(sample);
+                }
+                history.push(*sample);
+            }
+            if let Some(m) = metrics {
+                m.pipeline.batch_groups_total.add(self.batcher.groups());
+                m.pipeline.batch_members_total.add(self.batcher.members());
+            }
+        } else {
+            for (slot, history) in self.slots.iter_mut().zip(&mut self.histories) {
+                let sample = evaluate_query(store, slot, tick, route, &mut self.scratch);
+                if let Some(m) = metrics {
+                    m.pipeline.record_sample(&sample);
+                }
+                history.push(sample);
+            }
+        }
+        if let (Some(m), Some(t0)) = (metrics, start) {
+            m.worker_tick_seconds[worker].observe_duration(t0.elapsed());
+        }
+    }
+}
+
+/// The tick runner: a store, the standing queries registered against it,
+/// and the loop that re-evaluates them tick by tick.
+pub struct TickRunner {
+    store: SpatialStore,
+    shards: Vec<Shard>,
+    /// Query id → owning shard; `None` is a tombstone whose id the next
+    /// registration reuses.
+    owner: Vec<Option<usize>>,
+    placement: Placement,
+    rr_cursor: usize,
+    tick: u64,
+    skip_routing: bool,
+    batch: bool,
+    history_capacity: Option<usize>,
+    metrics: Option<EngineMetrics>,
+    sim_hooks: Option<SharedSimHooks>,
 }
 
 impl TickRunner {
-    /// Build a runner over a loaded store: serial for `workers == 1`,
-    /// sharded otherwise.
+    /// Wrap a loaded store, splitting future queries over `workers`
+    /// shards. Dirty-region skip routing starts enabled, batching
+    /// disabled, and per-query histories unbounded.
     ///
     /// # Panics
     /// Panics when `workers == 0`.
     pub fn new(store: SpatialStore, workers: usize, placement: Placement) -> Self {
         assert!(workers >= 1, "need at least one worker");
-        if workers == 1 {
-            TickRunner::Serial(Box::new(Processor::new(store)))
-        } else {
-            TickRunner::Sharded(Box::new(ShardedEngine::new(store, workers, placement)))
+        TickRunner {
+            store,
+            shards: (0..workers).map(|_| Shard::default()).collect(),
+            owner: Vec::new(),
+            placement,
+            rr_cursor: 0,
+            tick: 0,
+            skip_routing: true,
+            batch: false,
+            history_capacity: None,
+            metrics: None,
+            sim_hooks: None,
         }
     }
 
-    /// Number of evaluation workers (1 for the serial backend).
+    /// Number of shards (evaluation threads per round, the caller's
+    /// included).
     pub fn num_workers(&self) -> usize {
-        match self {
-            TickRunner::Serial(_) => 1,
-            TickRunner::Sharded(e) => e.num_workers(),
-        }
+        self.shards.len()
+    }
+
+    /// Live queries per shard.
+    pub fn worker_loads(&self) -> Vec<usize> {
+        self.shards.iter().map(|s| s.qids.len()).collect()
     }
 
     /// The underlying store.
     pub fn store(&self) -> &SpatialStore {
-        match self {
-            TickRunner::Serial(p) => p.store(),
-            TickRunner::Sharded(e) => e.store(),
-        }
+        &self.store
     }
 
-    /// Enable or disable dirty-region skip routing.
+    /// Enable or disable dirty-region skip routing in
+    /// [`TickRunner::step`]. Disabled, every query re-evaluates every
+    /// tick (the force-evaluate oracle).
     pub fn set_skip_routing(&mut self, on: bool) {
-        match self {
-            TickRunner::Serial(p) => p.set_skip_routing(on),
-            TickRunner::Sharded(e) => e.set_skip_routing(on),
-        }
+        self.skip_routing = on;
     }
 
-    /// Enable or disable shared-scan batch evaluation (see
-    /// [`igern_core::batch::BatchEvaluator`]). Answers are bit-identical
-    /// either way, on either backend.
+    /// Enable or disable anchor-cell shared-scan batch evaluation inside
+    /// each shard (see [`igern_core::batch::BatchEvaluator`]). Off by
+    /// default; answers, op counters, and skip decisions are
+    /// bit-identical either way — batching only changes how grid buckets
+    /// are scanned.
     pub fn set_batch(&mut self, on: bool) {
-        match self {
-            TickRunner::Serial(p) => p.set_batch(on),
-            TickRunner::Sharded(e) => e.set_batch(on),
-        }
+        self.batch = on;
     }
 
-    /// Cap the history of subsequently added queries (`None` =
-    /// unbounded).
+    /// Cap the per-query sample history of **subsequently added** queries
+    /// at `cap` retained samples (`None` = unbounded, the default).
+    /// Summary stats ([`History::stats`]) still fold every sample exactly,
+    /// so eviction never changes reported aggregates.
+    ///
+    /// # Panics
+    /// Panics when `cap` is `Some(0)`.
     pub fn set_history_capacity(&mut self, cap: Option<usize>) {
-        match self {
-            TickRunner::Serial(p) => p.set_history_capacity(cap),
-            TickRunner::Sharded(e) => e.set_history_capacity(cap),
+        if let Some(c) = cap {
+            assert!(c >= 1, "history capacity must be at least 1");
         }
+        self.history_capacity = cap;
     }
 
-    /// Register both backends' instruments under `prefix`; the sharded
-    /// engine additionally emits its coordinator/worker series there.
+    /// Register the runner's instruments under `prefix` and start
+    /// recording: every round then logs phase timings, per-query samples,
+    /// dirty-cell counts, §6 operation totals, and the per-shard series
+    /// of [`EngineMetrics`]. The hot path pays only relaxed atomic
+    /// increments; unattached (the default) it pays nothing.
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry, prefix: &str) {
-        match self {
-            TickRunner::Serial(p) => {
-                p.set_metrics(Some(PipelineMetrics::register(registry, prefix)));
-            }
-            TickRunner::Sharded(e) => {
-                let m = EngineMetrics::register(registry, prefix, e.num_workers());
-                e.set_metrics(Some(m));
-            }
-        }
+        self.metrics = Some(EngineMetrics::register(
+            registry,
+            prefix,
+            self.num_workers(),
+        ));
     }
 
     /// Install (or clear, with `None`) simulation fault-injection hooks
-    /// on the underlying backend (see [`igern_core::hooks::SimHooks`]).
-    /// Both backends fire `on_tick` / apply `desync_targets` at the same
-    /// logical point of `step`, so a hooked serial and a hooked sharded
-    /// runner stay bit-identical.
+    /// (see [`SimHooks`]). [`TickRunner::step`] fires `on_tick` and
+    /// applies `desync_targets` after updates are applied and before
+    /// evaluation; each shard fires `on_worker_shard` before evaluating.
+    /// Never installed in production; the disabled path costs one
+    /// `Option` check.
     pub fn set_sim_hooks(&mut self, hooks: Option<SharedSimHooks>) {
-        match self {
-            TickRunner::Serial(p) => p.set_sim_hooks(hooks),
-            TickRunner::Sharded(e) => e.set_sim_hooks(hooks),
-        }
+        self.sim_hooks = hooks;
     }
 
     /// Test hook: corrupt the store's bucket state for `id` (see
@@ -119,20 +231,17 @@ impl TickRunner {
     /// was present.
     #[doc(hidden)]
     pub fn debug_force_desync(&mut self, id: ObjectId) -> bool {
-        match self {
-            TickRunner::Serial(p) => p.debug_force_desync(id),
-            TickRunner::Sharded(e) => e.debug_force_desync(id),
-        }
+        self.store.debug_force_desync(id)
     }
 
-    /// Register a continuous query anchored at `obj`; returns its index
-    /// (tombstoned slots are reused first, identically on both
-    /// backends).
+    /// Register a continuous query anchored at moving object `obj`;
+    /// returns its index.
     ///
     /// # Errors
-    /// [`EngineError::UnknownObject`], [`EngineError::NotKindA`], or
-    /// [`EngineError::ZeroK`] — on both backends (the serial variant
-    /// pre-validates instead of asserting).
+    /// [`EngineError::UnknownObject`] when `obj` is not in the store;
+    /// [`EngineError::NotKindA`] when a bichromatic algorithm is
+    /// requested for a non-A object; [`EngineError::ZeroK`] when a
+    /// k-variant algorithm is given `k == 0`.
     pub fn add_query(&mut self, obj: ObjectId, algo: Algorithm) -> Result<usize, EngineError> {
         self.add_query_in(obj, algo, DistanceMode::Euclidean)
     }
@@ -142,51 +251,117 @@ impl TickRunner {
     /// # Errors
     /// As [`TickRunner::add_query`], plus [`EngineError::NoNetwork`]
     /// when [`DistanceMode::Network`] is requested on a store without an
-    /// attached road network — on both backends.
+    /// attached road network (see `SpatialStore::set_network`).
     pub fn add_query_in(
         &mut self,
         obj: ObjectId,
         algo: Algorithm,
         mode: DistanceMode,
     ) -> Result<usize, EngineError> {
-        match self {
-            TickRunner::Serial(p) => {
-                if p.store().position(obj).is_none() {
-                    return Err(EngineError::UnknownObject(obj));
-                }
-                if algo.is_bichromatic() && p.store().kind(obj) != ObjectKind::A {
-                    return Err(EngineError::NotKindA(obj));
-                }
-                if let Algorithm::IgernMonoK(0) | Algorithm::IgernBiK(0) | Algorithm::Knn(0) = algo
-                {
-                    return Err(EngineError::ZeroK);
-                }
-                if mode == DistanceMode::Network && p.store().network().is_none() {
-                    return Err(EngineError::NoNetwork);
-                }
-                Ok(p.add_query_in(obj, algo, mode))
-            }
-            TickRunner::Sharded(e) => e.add_query_in(obj, algo, mode),
+        if self.store.position(obj).is_none() {
+            return Err(EngineError::UnknownObject(obj));
         }
+        if algo.is_bichromatic() && self.store.kind(obj) != ObjectKind::A {
+            return Err(EngineError::NotKindA(obj));
+        }
+        if let Algorithm::IgernMonoK(0) | Algorithm::IgernBiK(0) | Algorithm::Knn(0) = algo {
+            return Err(EngineError::ZeroK);
+        }
+        if mode == DistanceMode::Network && self.store.network().is_none() {
+            return Err(EngineError::NoNetwork);
+        }
+        self.add_query_with(obj, algo.make_monitor_in(mode, Some(obj)))
     }
 
-    /// Drop a registered query; its index becomes reusable.
+    /// Register a continuous query evaluated by a caller-supplied
+    /// monitor (e.g. a custom [`ContinuousMonitor`] implementation);
+    /// returns its index. The lowest tombstoned index is reused first, so
+    /// the index of a previously removed query may be handed out again.
+    ///
+    /// # Errors
+    /// [`EngineError::UnknownObject`] when `obj` is not in the store.
+    pub fn add_query_with(
+        &mut self,
+        obj: ObjectId,
+        monitor: Box<dyn ContinuousMonitor>,
+    ) -> Result<usize, EngineError> {
+        let pos = self
+            .store
+            .position(obj)
+            .ok_or(EngineError::UnknownObject(obj))?;
+        let grid = self.store.all();
+        let worker = self.placement.pick(
+            grid.cell_of_point(pos),
+            grid.num_cells(),
+            &self.worker_loads(),
+            &mut self.rr_cursor,
+        );
+        let qid = match self.owner.iter().position(Option::is_none) {
+            Some(i) => i,
+            None => {
+                self.owner.push(None);
+                self.owner.len() - 1
+            }
+        };
+        self.owner[qid] = Some(worker);
+        self.shards[worker].insert(
+            qid,
+            QuerySlot::new(obj, monitor),
+            History::with_capacity(self.history_capacity),
+        );
+        self.rebalance();
+        Ok(qid)
+    }
+
+    /// Drop a registered query, freeing its monitor state and history.
+    /// Indices of other queries are stable (the index is tombstoned until
+    /// a registration reuses it); accessing a removed query panics.
     ///
     /// # Panics
     /// Panics when the query was already removed.
     pub fn remove_query(&mut self, i: usize) {
-        match self {
-            TickRunner::Serial(p) => p.remove_query(i),
-            TickRunner::Sharded(e) => e.remove_query(i),
+        let worker = self.owner[i]
+            .take()
+            .unwrap_or_else(|| panic!("query {i} already removed"));
+        let shard = &mut self.shards[worker];
+        let at = shard
+            .qids
+            .binary_search(&i)
+            .expect("owning shard holds the query");
+        shard.remove(at);
+        self.rebalance();
+    }
+
+    /// Migrate queries off the fullest shard until the placement policy
+    /// is satisfied. Deterministic: highest query id moves first, ties on
+    /// load break toward the lowest worker id.
+    fn rebalance(&mut self) {
+        let mut migrated = 0u64;
+        loop {
+            let loads = || self.shards.iter().map(|s| s.qids.len()).enumerate();
+            let (max_w, max) = loads()
+                .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+                .expect("at least one shard");
+            let (min_w, min) = loads()
+                .min_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)))
+                .expect("at least one shard");
+            if !self.placement.needs_rebalance(min, max) {
+                if let (Some(m), 1..) = (&self.metrics, migrated) {
+                    m.rebalance_total.inc();
+                    m.migrations_total.add(migrated);
+                }
+                return;
+            }
+            let (qid, slot, history) = self.shards[max_w].remove(max - 1);
+            self.shards[min_w].insert(qid, slot, history);
+            self.owner[qid] = Some(min_w);
+            migrated += 1;
         }
     }
 
     /// Insert a new moving object into the store at runtime.
     pub fn insert_object(&mut self, id: ObjectId, kind: ObjectKind, pos: Point) {
-        match self {
-            TickRunner::Serial(p) => p.insert_object(id, kind, pos),
-            TickRunner::Sharded(e) => e.insert_object(id, kind, pos),
-        }
+        self.store.insert(id, kind, pos);
     }
 
     /// Remove a moving object from the store at runtime.
@@ -195,133 +370,136 @@ impl TickRunner {
     /// Panics if a live query is anchored at the object — callers that
     /// take ids from untrusted input must check first.
     pub fn remove_object(&mut self, id: ObjectId) -> Option<Point> {
-        match self {
-            TickRunner::Serial(p) => p.remove_object(id),
-            TickRunner::Sharded(e) => e.remove_object(id),
-        }
+        assert!(
+            !self
+                .shards
+                .iter()
+                .any(|s| s.slots.iter().any(|q| q.obj == id)),
+            "cannot remove the anchor of a live query"
+        );
+        self.store.remove(id)
     }
 
-    /// Apply a single position update without ticking (streaming
-    /// ingestion); the dirty journal carries it into the next `step`.
+    /// Apply a single position update without ticking. The touched cells
+    /// stay in the store's dirty journal until the next
+    /// [`TickRunner::step`] / [`TickRunner::evaluate_all`] closes the
+    /// round, so skip routing remains sound: streaming ingesters (the
+    /// network server) apply updates one by one as they arrive and then
+    /// call `step(&[])` to evaluate the accumulated batch.
     pub fn apply_update(&mut self, id: ObjectId, pos: Point) {
-        match self {
-            TickRunner::Serial(p) => p.apply_update(id, pos),
-            TickRunner::Sharded(e) => e.apply_update(id, pos),
+        self.store.apply(id, pos);
+        if let Some(m) = &self.metrics {
+            m.pipeline.updates_total.inc();
         }
     }
 
-    /// Evaluate every query without applying updates or routing.
-    pub fn evaluate_all(&mut self) {
-        match self {
-            TickRunner::Serial(p) => p.evaluate_all(),
-            TickRunner::Sharded(e) => e.evaluate_all(),
-        }
-    }
-
-    /// Apply one tick of updates and re-evaluate.
+    /// Apply one tick of updates and re-evaluate every query, skipping
+    /// those whose watched cells saw no update (when routing is on).
+    /// Returns once every shard has finished; a panic inside any shard
+    /// panics here.
     pub fn step(&mut self, updates: &[(ObjectId, Point)]) {
-        match self {
-            TickRunner::Serial(p) => p.step(updates),
-            TickRunner::Sharded(e) => e.step(updates),
+        let start = self.metrics.is_some().then(Instant::now);
+        self.store.apply_batch(updates);
+        if let (Some(m), Some(t0)) = (&self.metrics, start) {
+            m.pipeline.apply_seconds.observe_duration(t0.elapsed());
+            m.pipeline.updates_total.add(updates.len() as u64);
         }
+        self.tick += 1;
+        if let Some(h) = self.sim_hooks.clone() {
+            h.on_tick(self.tick);
+            for id in h.desync_targets(self.tick) {
+                self.store.debug_force_desync(id);
+            }
+        }
+        self.round(self.skip_routing);
+    }
+
+    /// Evaluate all queries against the current store state without
+    /// applying updates, ignoring skip routing (used for the initial
+    /// evaluation at T₀ and as the force-evaluate oracle).
+    pub fn evaluate_all(&mut self) {
+        self.round(false);
+    }
+
+    fn round(&mut self, route: bool) {
+        let start = self.metrics.is_some().then(Instant::now);
+        let (store, tick, batch) = (&self.store, self.tick, self.batch);
+        let (hooks, metrics) = (self.sim_hooks.as_deref(), self.metrics.as_ref());
+        let (first, rest) = self.shards.split_first_mut().expect("at least one shard");
+        if rest.is_empty() {
+            first.run(0, store, tick, route, batch, hooks, metrics);
+        } else {
+            std::thread::scope(|scope| {
+                for (w, shard) in rest.iter_mut().enumerate() {
+                    scope
+                        .spawn(move || shard.run(w + 1, store, tick, route, batch, hooks, metrics));
+                }
+                first.run(0, store, tick, route, batch, hooks, metrics);
+            });
+        }
+        if let Some(m) = &self.metrics {
+            if let Some(t0) = start {
+                m.pipeline.evaluate_seconds.observe_duration(t0.elapsed());
+            }
+            for (gauge, shard) in m.shard_size.iter().zip(&self.shards) {
+                gauge.set(shard.qids.len() as f64);
+            }
+            m.pipeline
+                .dirty_cells
+                .observe(self.store.dirty_all().count() as f64);
+            m.pipeline.ticks_total.inc();
+        }
+        // Close out the journal: the next tick's dirt starts from here.
+        self.store.drain_dirty();
+    }
+
+    /// Current tick count (number of `step` rounds).
+    pub fn tick(&self) -> u64 {
+        self.tick
+    }
+
+    /// Number of query indices handed out (live + tombstoned).
+    pub fn num_queries(&self) -> usize {
+        self.owner.len()
+    }
+
+    /// The owning shard of live query `i` and the query's position in it.
+    fn locate(&self, i: usize) -> (&Shard, usize) {
+        let worker = self.owner[i].unwrap_or_else(|| panic!("query {i} was removed"));
+        let shard = &self.shards[worker];
+        let at = shard
+            .qids
+            .binary_search(&i)
+            .expect("owning shard holds the query");
+        (shard, at)
     }
 
     /// Latest answer of query `i`, sorted by object id.
     ///
     /// # Panics
-    /// Panics when the query was removed.
+    /// Panics when the query was removed (as do the other per-query
+    /// accessors).
     pub fn answer(&self, i: usize) -> &[ObjectId] {
-        match self {
-            TickRunner::Serial(p) => p.answer(i),
-            TickRunner::Sharded(e) => e.answer(i),
-        }
+        let (shard, at) = self.locate(i);
+        &shard.slots[at].answer
+    }
+
+    /// Number of objects query `i` currently monitors.
+    pub fn monitored(&self, i: usize) -> usize {
+        let (shard, at) = self.locate(i);
+        shard.slots[at].monitored
+    }
+
+    /// Per-tick history of query `i` (a ring when a capacity is set; the
+    /// embedded stats always cover every tick).
+    pub fn history(&self, i: usize) -> &History {
+        let (shard, at) = self.locate(i);
+        &shard.histories[at]
     }
 
     /// The query object of query `i`.
     pub fn query_object(&self, i: usize) -> ObjectId {
-        match self {
-            TickRunner::Serial(p) => p.query_object(i),
-            TickRunner::Sharded(e) => e.query_object(i),
-        }
-    }
-
-    /// Per-tick history of query `i`.
-    pub fn history(&self, i: usize) -> &History {
-        match self {
-            TickRunner::Serial(p) => p.history(i),
-            TickRunner::Sharded(e) => e.history(i),
-        }
-    }
-
-    /// Current tick count.
-    pub fn tick(&self) -> u64 {
-        match self {
-            TickRunner::Serial(p) => p.tick(),
-            TickRunner::Sharded(e) => e.tick(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use igern_geom::Aabb;
-
-    fn store() -> SpatialStore {
-        let pts: Vec<Point> = (0..12)
-            .map(|i| Point::new((i * 7 % 12) as f64 / 1.2, (i * 5 % 12) as f64 / 1.2))
-            .collect();
-        let mut kinds = vec![ObjectKind::A; 8];
-        kinds.extend(vec![ObjectKind::B; 4]);
-        let mut s = SpatialStore::new(Aabb::from_coords(0.0, 0.0, 10.0, 10.0), 8, kinds);
-        s.load(&pts);
-        s
-    }
-
-    #[test]
-    fn serial_and_sharded_runners_agree() {
-        let mut serial = TickRunner::new(store(), 1, Placement::RoundRobin);
-        let mut sharded = TickRunner::new(store(), 3, Placement::RoundRobin);
-        assert_eq!(serial.num_workers(), 1);
-        assert_eq!(sharded.num_workers(), 3);
-        for r in [&mut serial, &mut sharded] {
-            r.set_history_capacity(Some(4));
-            let q = r.add_query(ObjectId(0), Algorithm::IgernMono).unwrap();
-            r.add_query(ObjectId(1), Algorithm::Knn(2)).unwrap();
-            r.evaluate_all();
-            r.apply_update(ObjectId(5), Point::new(0.4, 0.4));
-            r.step(&[]);
-            assert_eq!(r.query_object(q), ObjectId(0));
-            assert_eq!(r.tick(), 1);
-            assert_eq!(r.history(q).len(), 2);
-        }
-        for q in 0..2 {
-            assert_eq!(serial.answer(q), sharded.answer(q), "query {q}");
-        }
-    }
-
-    #[test]
-    fn serial_runner_reports_errors_instead_of_panicking() {
-        let mut r = TickRunner::new(store(), 1, Placement::RoundRobin);
-        assert_eq!(
-            r.add_query(ObjectId(99), Algorithm::IgernMono),
-            Err(EngineError::UnknownObject(ObjectId(99)))
-        );
-        assert_eq!(
-            r.add_query(ObjectId(9), Algorithm::IgernBi),
-            Err(EngineError::NotKindA(ObjectId(9)))
-        );
-        assert_eq!(
-            r.add_query(ObjectId(0), Algorithm::Knn(0)),
-            Err(EngineError::ZeroK)
-        );
-        // Dynamic population flows through the shared surface.
-        r.insert_object(ObjectId(50), ObjectKind::A, Point::new(5.0, 5.0));
-        let q = r.add_query(ObjectId(50), Algorithm::IgernMono).unwrap();
-        r.step(&[]);
-        let _ = r.answer(q);
-        assert!(r.store().position(ObjectId(50)).is_some());
-        r.remove_query(q);
-        assert_eq!(r.remove_object(ObjectId(50)), Some(Point::new(5.0, 5.0)));
+        let (shard, at) = self.locate(i);
+        shard.slots[at].obj
     }
 }

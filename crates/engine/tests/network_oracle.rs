@@ -8,8 +8,9 @@
 use std::sync::Arc;
 
 use igern_core::naive;
-use igern_core::processor::{Algorithm, Processor};
+use igern_core::processor::Algorithm;
 use igern_core::{net_lb, DistanceMode, NetScratch, NetworkSpace, ObjectKind, SpatialStore};
+use igern_engine::{Placement, TickRunner};
 use igern_geom::{Aabb, Point};
 use igern_grid::ObjectId;
 use igern_mobgen::workload::Mover;
@@ -84,6 +85,11 @@ fn expected(
     }
 }
 
+/// A one-shard runner over [`store_for`]`(mover, ns, grid)`.
+fn runner_for(mover: &NetworkMover, ns: &Arc<NetworkSpace>, grid: usize) -> TickRunner {
+    TickRunner::new(store_for(mover, ns, grid), 1, Placement::RoundRobin)
+}
+
 /// Build a store over the mover's current population: even ids are kind
 /// A (query side), odd ids kind B.
 fn store_for(mover: &NetworkMover, ns: &Arc<NetworkSpace>, grid: usize) -> SpatialStore {
@@ -112,8 +118,8 @@ fn network_monitors_match_oracles_under_churn() {
         let net = network(seed);
         let ns = Arc::new(NetworkSpace::from_network(&net));
         let mut mover = NetworkMover::new(net, 24, seed);
-        let mut p = Processor::new(store_for(&mover, &ns, 16));
-        let mut p_batch = Processor::new(store_for(&mover, &ns, 16));
+        let mut p = runner_for(&mover, &ns, 16);
+        let mut p_batch = runner_for(&mover, &ns, 16);
         p_batch.set_batch(true);
         let mut oracle_scratch = NetScratch::default();
 
@@ -123,8 +129,10 @@ fn network_monitors_match_oracles_under_churn() {
             // Anchors cycle through kind-A objects (even ids).
             let anchor = ObjectId(((i * 2) % mover.len()) as u32);
             handles.push((
-                p.add_query_in(anchor, algo, DistanceMode::Network),
-                p_batch.add_query_in(anchor, algo, DistanceMode::Network),
+                p.add_query_in(anchor, algo, DistanceMode::Network).unwrap(),
+                p_batch
+                    .add_query_in(anchor, algo, DistanceMode::Network)
+                    .unwrap(),
                 anchor,
                 algo,
             ));
@@ -183,11 +191,13 @@ fn network_skip_routing_is_answer_invisible() {
     let net = network(9);
     let ns = Arc::new(NetworkSpace::from_network(&net));
     let mut mover = NetworkMover::new(net, 16, 9);
-    let mut routed = Processor::new(store_for(&mover, &ns, 16));
-    let mut forced = Processor::new(store_for(&mover, &ns, 16));
+    let mut routed = runner_for(&mover, &ns, 16);
+    let mut forced = runner_for(&mover, &ns, 16);
     forced.set_skip_routing(false);
-    let q_r = routed.add_query_in(ObjectId(0), Algorithm::IgernMonoK(2), DistanceMode::Network);
-    let q_f = forced.add_query_in(ObjectId(0), Algorithm::IgernMonoK(2), DistanceMode::Network);
+    let [q_r, q_f] = [&mut routed, &mut forced].map(|r| {
+        r.add_query_in(ObjectId(0), Algorithm::IgernMonoK(2), DistanceMode::Network)
+            .unwrap()
+    });
     routed.evaluate_all();
     forced.evaluate_all();
     for round in 0..10 {
@@ -250,7 +260,7 @@ fn euclidean_lower_bound_never_discards_a_network_neighbor() {
 }
 
 /// Network answers must be independent of scratch warmth and of which
-/// lane evaluates them: two processors with different evaluation
+/// shard's scratch evaluates them: two runners with different evaluation
 /// histories agree bit-for-bit.
 #[test]
 fn answers_are_independent_of_memo_warmth() {
@@ -258,14 +268,17 @@ fn answers_are_independent_of_memo_warmth() {
     let ns = Arc::new(NetworkSpace::from_network(&net));
     let mut mover = NetworkMover::new(net, 12, 21);
     // `warm` runs extra queries first so its Dijkstra memos differ.
-    let mut warm = Processor::new(store_for(&mover, &ns, 8));
-    let mut cold = Processor::new(store_for(&mover, &ns, 8));
+    let mut warm = runner_for(&mover, &ns, 8);
+    let mut cold = runner_for(&mover, &ns, 8);
     for i in 0..6 {
-        warm.add_query_in(ObjectId(i * 2), Algorithm::Knn(3), DistanceMode::Network);
+        warm.add_query_in(ObjectId(i * 2), Algorithm::Knn(3), DistanceMode::Network)
+            .unwrap();
     }
     warm.evaluate_all();
-    let qw = warm.add_query_in(ObjectId(2), Algorithm::IgernMonoK(2), DistanceMode::Network);
-    let qc = cold.add_query_in(ObjectId(2), Algorithm::IgernMonoK(2), DistanceMode::Network);
+    let [qw, qc] = [&mut warm, &mut cold].map(|r| {
+        r.add_query_in(ObjectId(2), Algorithm::IgernMonoK(2), DistanceMode::Network)
+            .unwrap()
+    });
     for _ in 0..8 {
         let updates: Vec<(ObjectId, Point)> = mover
             .advance()
@@ -285,6 +298,8 @@ fn answers_are_independent_of_memo_warmth() {
 fn network_mode_requires_a_network() {
     let mut store = SpatialStore::new(SPACE, 8, vec![ObjectKind::A]);
     store.load(&[Point::new(1.0, 1.0)]);
-    let mut p = Processor::new(store);
-    p.add_query_in(ObjectId(0), Algorithm::IgernMono, DistanceMode::Network);
+    let mut p = TickRunner::new(store, 1, Placement::RoundRobin);
+    if let Err(e) = p.add_query_in(ObjectId(0), Algorithm::IgernMono, DistanceMode::Network) {
+        panic!("{e}");
+    }
 }

@@ -11,9 +11,8 @@
 //!   immediately, so the dirty-cell journal keeps skip routing sound;
 //! * **query subscriptions** — `SUBSCRIBE_QUERY` registers any of the
 //!   eight [`Algorithm`](igern_core::processor::Algorithm) variants
-//!   against the shared serial [`Processor`] or [`ShardedEngine`]
-//!   (behind [`TickRunner`]) — answers are bit-identical to an offline
-//!   run over the same update sequence;
+//!   against the server's [`TickRunner`] — answers are bit-identical to
+//!   an offline run over the same update sequence;
 //! * **answer-delta push** — each tick the server diffs every
 //!   subscription's answer against the previous tick and pushes only
 //!   the adds/removes; the first push after subscribe (and after a
@@ -23,8 +22,6 @@
 //! in-process [`Client`] speaks the same protocol and is what the
 //! equivalence tests, `igern wal drive` and the benchmark drive.
 //!
-//! [`Processor`]: igern_core::processor::Processor
-//! [`ShardedEngine`]: igern_engine::ShardedEngine
 //! [`TickRunner`]: igern_engine::TickRunner
 
 use std::net::{TcpListener, ToSocketAddrs};
@@ -103,7 +100,8 @@ pub struct ServerConfig {
     pub space: Aabb,
     /// Grid resolution (`n × n` cells), as in the offline pipeline.
     pub grid: usize,
-    /// Evaluation workers: 1 = serial processor, >1 = sharded engine.
+    /// Evaluation workers: the runner's shard count (1 = every query
+    /// evaluated inline on the tick thread).
     pub workers: usize,
     /// Query→shard placement for the sharded backend.
     pub placement: Placement,

@@ -4,7 +4,7 @@
 //! Every mutation flows through one bounded channel in arrival order
 //! and is applied to the store immediately (the dirty-cell journal
 //! accumulates until the tick's `step(&[])` drains it, so skip routing
-//! stays sound — see `Processor::apply_update`). Ticks fire on a timer
+//! stays sound — see `TickRunner::apply_update`). Ticks fire on a timer
 //! (`tick_ms > 0`) or on explicit `STEP` frames (manual mode, the
 //! deterministic test path). Each tick diffs every subscription's
 //! answer against the previous tick and pushes only the delta; the

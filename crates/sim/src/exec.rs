@@ -3,9 +3,10 @@
 //!
 //! Three backends run in lockstep:
 //!
-//! * **serial** — [`TickRunner`] over the serial processor (1 worker);
-//! * **sharded** — [`TickRunner`] over the sharded engine
-//!   (`plan.workers` workers);
+//! * **serial** — a [`TickRunner`] with 1 worker (its one shard runs
+//!   inline);
+//! * **sharded** — the same [`TickRunner`] with `plan.workers` workers
+//!   (shards on scoped threads);
 //! * **server** (optional) — a full `igern-server` instance on the
 //!   in-memory transport, driven through the wire protocol by a clean
 //!   *workload* client `W`, with a second *victim* client `F` whose
@@ -176,7 +177,8 @@ fn plan_mode(plan: &Plan) -> DistanceMode {
     }
 }
 
-/// An offline tick backend (serial or sharded) plus its query-id map.
+/// An offline tick backend (the runner at 1 or at `plan.workers`
+/// workers) plus its query-id map.
 struct Offline {
     name: &'static str,
     runner: TickRunner,

@@ -2,7 +2,7 @@
 //! stack.
 //!
 //! One seed drives the entire pipeline — [`igern_core::SpatialStore`] →
-//! serial processor / sharded engine (via `igern_engine::TickRunner`) →
+//! `igern_engine::TickRunner` at one worker and at several →
 //! the `igern-server` wire protocol over an in-process memory transport
 //! — and every tick of every continuous query is checked against the
 //! brute-force oracles in `igern_core::naive`. The fault plan layers

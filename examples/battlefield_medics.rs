@@ -6,9 +6,10 @@
 //!
 //! Run with: `cargo run --example battlefield_medics`
 
-use igern::core::processor::{Algorithm, Processor};
+use igern::core::processor::Algorithm;
 use igern::core::types::ObjectKind;
 use igern::core::SpatialStore;
+use igern::engine::{Placement, TickRunner};
 use igern::geom::{Aabb, Point};
 use igern::grid::ObjectId;
 use igern::mobgen::{Movement, ObjKind, Workload, WorkloadConfig};
@@ -45,11 +46,11 @@ fn main() {
     store.load(&spawn);
 
     // Every medical unit runs its own standing bichromatic query.
-    let mut processor = Processor::new(store);
+    let mut runner = TickRunner::new(store, 1, Placement::RoundRobin);
     let queries: Vec<usize> = (0..UNITS as u32)
-        .map(|u| processor.add_query(ObjectId(u), Algorithm::IgernBi))
+        .map(|u| runner.add_query(ObjectId(u), Algorithm::IgernBi).unwrap())
         .collect();
-    processor.evaluate_all();
+    runner.evaluate_all();
 
     for tick in 0..TICKS {
         if tick > 0 {
@@ -58,12 +59,12 @@ fn main() {
                 .iter()
                 .map(|u| (ObjectId(u.id), u.pos))
                 .collect();
-            processor.step(&ups);
+            runner.step(&ups);
         }
         println!("— tick {tick} —");
         let mut assigned = 0;
         for (unit, &q) in queries.iter().enumerate() {
-            let wounded = processor.answer(q);
+            let wounded = runner.answer(q);
             assigned += wounded.len();
             println!(
                 "  medic {unit}: responsible for {:>2} casualties {:?}",

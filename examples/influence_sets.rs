@@ -11,9 +11,10 @@
 //!
 //! Run with: `cargo run --example influence_sets`
 
-use igern::core::processor::{Algorithm, Processor};
+use igern::core::processor::Algorithm;
 use igern::core::types::ObjectKind;
 use igern::core::SpatialStore;
+use igern::engine::{Placement, TickRunner};
 use igern::geom::{Aabb, Point};
 use igern::grid::ObjectId;
 use igern::mobgen::{Movement, ObjKind, Workload, WorkloadConfig};
@@ -49,12 +50,12 @@ fn main() {
 
     // Object 0 is the candidate site; monitor its influence at three
     // tolerance levels simultaneously.
-    let mut processor = Processor::new(store);
+    let mut runner = TickRunner::new(store, 1, Placement::RoundRobin);
     let site = ObjectId(0);
     let queries: Vec<(usize, usize)> = (1..=3)
-        .map(|k| (k, processor.add_query(site, Algorithm::IgernBiK(k))))
+        .map(|k| (k, runner.add_query(site, Algorithm::IgernBiK(k)).unwrap()))
         .collect();
-    processor.evaluate_all();
+    runner.evaluate_all();
 
     for tick in 0..5 {
         if tick > 0 {
@@ -63,16 +64,16 @@ fn main() {
                 .iter()
                 .map(|u| (ObjectId(u.id), u.pos))
                 .collect();
-            processor.step(&ups);
+            runner.step(&ups);
         }
         println!("— tick {tick} —");
         let mut prev = 0;
         for &(k, q) in &queries {
-            let influenced = processor.answer(q).len();
+            let influenced = runner.answer(q).len();
             println!(
                 "  influence at k={k}: {influenced:>2} customers \
                  (monitoring {} competitor stores)",
-                processor.monitored(q)
+                runner.monitored(q)
             );
             assert!(influenced >= prev, "influence sets must be monotone in k");
             prev = influenced;

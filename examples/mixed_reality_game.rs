@@ -9,9 +9,10 @@
 //!
 //! Run with: `cargo run --example mixed_reality_game`
 
-use igern::core::processor::{Algorithm, Processor};
+use igern::core::processor::Algorithm;
 use igern::core::types::ObjectKind;
 use igern::core::SpatialStore;
+use igern::engine::{Placement, TickRunner};
 use igern::grid::ObjectId;
 use igern::mobgen::{Workload, WorkloadConfig};
 
@@ -27,13 +28,13 @@ fn main() {
         .collect();
     store.load(&spawn);
 
-    let mut processor = Processor::new(store);
+    let mut runner = TickRunner::new(store, 1, Placement::RoundRobin);
     let heroes = [ObjectId(11), ObjectId(177), ObjectId(333)];
     let queries: Vec<usize> = heroes
         .iter()
-        .map(|&h| processor.add_query(h, Algorithm::IgernMono))
+        .map(|&h| runner.add_query(h, Algorithm::IgernMono).unwrap())
         .collect();
-    processor.evaluate_all();
+    runner.evaluate_all();
 
     for tick in 0..TICKS {
         if tick > 0 {
@@ -42,18 +43,18 @@ fn main() {
                 .iter()
                 .map(|u| (ObjectId(u.id), u.pos))
                 .collect();
-            processor.step(&ups);
+            runner.step(&ups);
         }
         println!("— tick {tick} —");
         for (&hero, &q) in heroes.iter().zip(&queries) {
-            let threats = processor.answer(q);
-            let pos = processor.store().position(hero).unwrap();
+            let threats = runner.answer(q);
+            let pos = runner.store().position(hero).unwrap();
             match threats.len() {
                 0 => println!("  player {hero} at {pos}: safe (no one targets her)"),
                 n => println!(
                     "  player {hero} at {pos}: {n} player(s) locked on: {threats:?} \
                      (IGERN watches only {} candidates)",
-                    processor.monitored(q)
+                    runner.monitored(q)
                 ),
             }
         }
@@ -61,6 +62,6 @@ fn main() {
 
     // Sanity: IGERN can never report more than six monochromatic RNNs.
     for &q in &queries {
-        assert!(processor.answer(q).len() <= 6);
+        assert!(runner.answer(q).len() <= 6);
     }
 }

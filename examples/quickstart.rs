@@ -3,9 +3,10 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use igern::core::processor::{Algorithm, Processor};
+use igern::core::processor::Algorithm;
 use igern::core::types::ObjectKind;
 use igern::core::SpatialStore;
+use igern::engine::{Placement, TickRunner};
 use igern::geom::{Aabb, Point};
 use igern::grid::ObjectId;
 
@@ -22,19 +23,19 @@ fn main() {
         Point::new(10.0, 10.0),
     ]);
 
-    let mut processor = Processor::new(store);
-    let query = processor.add_query(ObjectId(0), Algorithm::IgernMono);
-    processor.evaluate_all(); // the IGERN initial step
+    let mut runner = TickRunner::new(store, 1, Placement::RoundRobin);
+    let query = runner.add_query(ObjectId(0), Algorithm::IgernMono).unwrap();
+    runner.evaluate_all(); // the IGERN initial step
 
-    println!("tick 0: RNNs of object 0 = {:?}", processor.answer(query));
+    println!("tick 0: RNNs of object 0 = {:?}", runner.answer(query));
 
     // Object 2 drifts toward object 1 tick by tick; the answer follows.
     for (tick, x) in [(1, 55.0), (2, 47.0), (3, 42.0)] {
-        processor.step(&[(ObjectId(2), Point::new(x, 50.0))]);
+        runner.step(&[(ObjectId(2), Point::new(x, 50.0))]);
         println!(
             "tick {tick}: object 2 at x={x:>4}: RNNs = {:?} (monitoring {} objects)",
-            processor.answer(query),
-            processor.monitored(query),
+            runner.answer(query),
+            runner.monitored(query),
         );
     }
 }

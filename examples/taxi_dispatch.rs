@@ -9,9 +9,10 @@
 //!
 //! Run with: `cargo run --example taxi_dispatch`
 
-use igern::core::processor::{Algorithm, Processor};
+use igern::core::processor::Algorithm;
 use igern::core::types::ObjectKind;
 use igern::core::SpatialStore;
+use igern::engine::{Placement, TickRunner};
 use igern::geom::Point;
 use igern::grid::ObjectId;
 use igern::mobgen::{ObjKind, Workload, WorkloadConfig};
@@ -35,20 +36,20 @@ fn main() {
         .collect();
     store.load(&spawn);
 
-    let mut processor = Processor::new(store);
+    let mut runner = TickRunner::new(store, 1, Placement::RoundRobin);
     // Three taxis run standing queries, each twice: once with continuous
     // IGERN, once with the repetitive-Voronoi baseline, as a live
     // cross-check.
     let taxis = [ObjectId(0), ObjectId(100), ObjectId(200)];
     let igern_q: Vec<usize> = taxis
         .iter()
-        .map(|&t| processor.add_query(t, Algorithm::IgernBi))
+        .map(|&t| runner.add_query(t, Algorithm::IgernBi).unwrap())
         .collect();
     let voronoi_q: Vec<usize> = taxis
         .iter()
-        .map(|&t| processor.add_query(t, Algorithm::VoronoiRepeat))
+        .map(|&t| runner.add_query(t, Algorithm::VoronoiRepeat).unwrap())
         .collect();
-    processor.evaluate_all();
+    runner.evaluate_all();
 
     for tick in 0..TICKS {
         if tick > 0 {
@@ -57,12 +58,12 @@ fn main() {
                 .iter()
                 .map(|u| (ObjectId(u.id), u.pos))
                 .collect();
-            processor.step(&ups);
+            runner.step(&ups);
         }
         println!("— tick {tick} —");
         for ((&taxi, &qi), &qv) in taxis.iter().zip(&igern_q).zip(&voronoi_q) {
-            let igern = processor.answer(qi);
-            let voronoi = processor.answer(qv);
+            let igern = runner.answer(qi);
+            let voronoi = runner.answer(qv);
             assert_eq!(igern, voronoi, "IGERN and Voronoi disagree for {taxi}");
             println!(
                 "  taxi {taxi}: {} exclusive passenger(s) {:?}",

@@ -5,9 +5,10 @@
 //! Zhang; ICDE 2007).
 //!
 //! * [`core`] — the IGERN algorithms, the CRNN / TPL / repetitive-Voronoi
-//!   baselines, the continuous query processor, and the Section-6 cost model.
-//! * [`engine`] — the sharded multi-worker tick engine (parallel form of
-//!   the serial processor with bit-identical answers).
+//!   baselines, the per-query evaluation step, and the Section-6 cost model.
+//! * [`engine`] — the tick loop: `TickRunner` applies each tick's updates
+//!   and re-evaluates the standing queries, one shard inline or several
+//!   on scoped threads, with answers independent of the worker count.
 //! * [`grid`] — the N×N grid index and the shared nearest-neighbor search
 //!   substrate (unconstrained / constrained / bounded).
 //! * [`mobgen`] — Brinkhoff-style network-based moving-object generation.

@@ -1,6 +1,6 @@
 //! Shared-scan batch evaluation equivalence (see `igern_core::batch`).
 //!
-//! With batching on, every backend must reproduce the per-query path
+//! With batching on, the runner must reproduce the per-query path
 //! bit-for-bit: same answers, same monitored counts, same per-tick skip
 //! decisions, and the same machine-independent op counters — for all
 //! eight algorithm families with k ∈ {1, 2, 4}, across mid-stream query
@@ -13,10 +13,10 @@ mod common;
 
 use common::Lcg;
 use igern::core::obs::{MetricsRegistry, PipelineMetrics};
-use igern::core::processor::{Algorithm, Processor};
+use igern::core::processor::Algorithm;
 use igern::core::types::ObjectKind;
 use igern::core::SpatialStore;
-use igern::engine::{Placement, ShardedEngine};
+use igern::engine::{Placement, TickRunner};
 use igern::geom::{Aabb, Point};
 use igern::grid::ObjectId;
 
@@ -60,114 +60,62 @@ fn variants() -> Vec<Algorithm> {
     v
 }
 
-/// The batched backends driven in lockstep against the reference.
-struct Batched {
-    name: String,
-    serial: Option<Processor>,
-    engine: Option<ShardedEngine>,
+/// Compare query `q` of the batched runner `name` at tick `tick` against
+/// the reference sample.
+fn check(name: &str, batched: &TickRunner, reference: &TickRunner, q: usize, tick: usize) {
+    let sample = batched.history(q).latest().unwrap();
+    let r = reference.history(q).latest().unwrap();
+    assert_eq!(
+        reference.answer(q),
+        batched.answer(q),
+        "answer diverged: query {q} tick {tick} backend {name}"
+    );
+    assert_eq!(reference.monitored(q), batched.monitored(q));
+    assert_eq!(
+        r.skipped, sample.skipped,
+        "skip decision diverged: query {q} tick {tick} backend {name}"
+    );
+    assert_eq!(
+        r.ops, sample.ops,
+        "op counters diverged: query {q} tick {tick} backend {name}"
+    );
+    assert_eq!(r.answer_size, sample.answer_size);
+    assert_eq!(r.monitored, sample.monitored);
+    assert_eq!(
+        r.region_area.to_bits(),
+        sample.region_area.to_bits(),
+        "region area diverged: query {q} tick {tick} backend {name}"
+    );
 }
 
-impl Batched {
-    fn add_query(&mut self, obj: ObjectId, algo: Algorithm) -> usize {
-        match (&mut self.serial, &mut self.engine) {
-            (Some(p), _) => p.add_query(obj, algo),
-            (_, Some(e)) => e.add_query(obj, algo).expect("valid query"),
-            _ => unreachable!(),
-        }
-    }
-
-    fn remove_query(&mut self, q: usize) {
-        match (&mut self.serial, &mut self.engine) {
-            (Some(p), _) => p.remove_query(q),
-            (_, Some(e)) => e.remove_query(q),
-            _ => unreachable!(),
-        }
-    }
-
-    fn step(&mut self, ups: &[(ObjectId, Point)]) {
-        match (&mut self.serial, &mut self.engine) {
-            (Some(p), _) => p.step(ups),
-            (_, Some(e)) => e.step(ups),
-            _ => unreachable!(),
-        }
-    }
-
-    fn evaluate_all(&mut self) {
-        match (&mut self.serial, &mut self.engine) {
-            (Some(p), _) => p.evaluate_all(),
-            (_, Some(e)) => e.evaluate_all(),
-            _ => unreachable!(),
-        }
-    }
-
-    /// Compare query `q` at tick `tick` against the reference sample.
-    fn check(&self, reference: &Processor, q: usize, tick: usize) {
-        let (answer, monitored, sample) = match (&self.serial, &self.engine) {
-            (Some(p), _) => (p.answer(q), p.monitored(q), *p.history(q).latest().unwrap()),
-            (_, Some(e)) => (e.answer(q), e.monitored(q), *e.history(q).latest().unwrap()),
-            _ => unreachable!(),
-        };
-        let name = &self.name;
-        let r = reference.history(q).latest().unwrap();
-        assert_eq!(
-            reference.answer(q),
-            answer,
-            "answer diverged: query {q} tick {tick} backend {name}"
-        );
-        assert_eq!(reference.monitored(q), monitored);
-        assert_eq!(
-            r.skipped, sample.skipped,
-            "skip decision diverged: query {q} tick {tick} backend {name}"
-        );
-        assert_eq!(
-            r.ops, sample.ops,
-            "op counters diverged: query {q} tick {tick} backend {name}"
-        );
-        assert_eq!(r.answer_size, sample.answer_size);
-        assert_eq!(r.monitored, sample.monitored);
-        assert_eq!(
-            r.region_area.to_bits(),
-            sample.region_area.to_bits(),
-            "region area diverged: query {q} tick {tick} backend {name}"
-        );
-    }
-}
-
-/// Drive the per-query reference processor against a batched serial
-/// processor and batched sharded engines (workers × placements) through
-/// one randomized stream with mid-stream query churn, asserting
-/// bit-identical behaviour on every live query every tick.
+/// Drive the per-query one-worker reference against batched runners
+/// (workers × placements) through one randomized stream with mid-stream
+/// query churn, asserting bit-identical behaviour on every live query
+/// every tick.
 #[test]
 fn batched_backends_match_per_query_reference() {
     let seed = 0xBA7C_4ED1_u64;
     let algos = variants();
 
-    let mut reference = Processor::new(loaded_store(seed));
+    let mut reference = TickRunner::new(loaded_store(seed), 1, Placement::RoundRobin);
 
     let registry = MetricsRegistry::new();
-    let metrics = PipelineMetrics::register(&registry, "batch_eq");
-    let mut serial = Processor::new(loaded_store(seed));
-    serial.set_batch(true);
-    serial.set_metrics(Some(metrics.clone()));
-    let mut backends = vec![Batched {
-        name: "serial+batch".into(),
-        serial: Some(serial),
-        engine: None,
-    }];
-    for (workers, placement) in [
+    let mut backends: Vec<(String, TickRunner)> = [
         (1, Placement::RoundRobin),
         (2, Placement::AnchorCell),
         (4, Placement::RoundRobin),
         (4, Placement::AnchorCell),
-    ] {
-        let mut e = ShardedEngine::new(loaded_store(seed), workers, placement);
-        e.set_batch(true);
-        backends.push(Batched {
-            name: format!("engine w{workers} {placement}"),
-            serial: None,
-            engine: Some(e),
-        });
-    }
+    ]
+    .into_iter()
+    .map(|(workers, placement)| {
+        let mut r = TickRunner::new(loaded_store(seed), workers, placement);
+        r.set_batch(true);
+        (format!("w{workers} {placement}"), r)
+    })
+    .collect();
+    // The one-worker batched runner reports its group counts.
+    backends[0].1.attach_metrics(&registry, "batch_eq");
+    let metrics = PipelineMetrics::register(&registry, "batch_eq");
 
     // Two queries per variant on clustered (often shared) anchors, so
     // the four batchable IGERN monitors form multi-member groups.
@@ -175,15 +123,15 @@ fn batched_backends_match_per_query_reference() {
     for (i, &algo) in algos.iter().enumerate() {
         for anchor in [i % ANCHORS, (i + 1) % ANCHORS] {
             let obj = ObjectId(anchor as u32);
-            let qr = reference.add_query(obj, algo);
-            for b in &mut backends {
-                assert_eq!(qr, b.add_query(obj, algo), "index assignment diverged");
+            let qr = reference.add_query(obj, algo).expect("valid query");
+            for (_, b) in &mut backends {
+                assert_eq!(Ok(qr), b.add_query(obj, algo), "index assignment diverged");
             }
             live.push(qr);
         }
     }
     reference.evaluate_all();
-    for b in &mut backends {
+    for (_, b) in &mut backends {
         b.evaluate_all();
     }
 
@@ -206,17 +154,17 @@ fn batched_backends_match_per_query_reference() {
             let at = rng.usize(live.len());
             let q = live.swap_remove(at);
             reference.remove_query(q);
-            for b in &mut backends {
+            for (_, b) in &mut backends {
                 b.remove_query(q);
             }
         }
         if rng.bool(0.08) {
             let algo = algos[rng.usize(algos.len())];
             let obj = ObjectId(rng.usize(ANCHORS) as u32);
-            let qr = reference.add_query(obj, algo);
-            for b in &mut backends {
+            let qr = reference.add_query(obj, algo).expect("valid query");
+            for (_, b) in &mut backends {
                 assert_eq!(
-                    qr,
+                    Ok(qr),
                     b.add_query(obj, algo),
                     "index assignment diverged at tick {tick}"
                 );
@@ -225,10 +173,10 @@ fn batched_backends_match_per_query_reference() {
         }
 
         reference.step(&ups);
-        for b in &mut backends {
+        for (name, b) in &mut backends {
             b.step(&ups);
             for &q in &live {
-                b.check(&reference, q, tick);
+                check(name, b, &reference, q, tick);
             }
         }
     }

@@ -1,26 +1,25 @@
-//! Sharded engine equivalence: for any worker count and placement
-//! policy, the engine must reproduce the serial processor's behaviour
-//! exactly — same answers, same answer sizes, same monitored counts, and
-//! the same per-tick skip decisions — over a randomized update stream
-//! with mid-stream query registration and removal, across all eight
+//! Sharding equivalence: for any worker count and placement policy, the
+//! runner must reproduce the one-worker runner's behaviour exactly —
+//! same answers, same answer sizes, same monitored counts, and the same
+//! per-tick skip decisions — over a randomized update stream with
+//! mid-stream query registration and removal, across all eight
 //! algorithms.
 //!
-//! Set `IGERN_TEST_WORKERS` to add a worker count to the sweep (the CI
-//! matrix uses this to force a 4-worker leg). Set `IGERN_TEST_BATCH=on`
-//! to run the whole sweep with shared-scan batch evaluation enabled on
-//! both backends — batching must be answer-invisible, so every assertion
-//! below holds unchanged (the CI batch leg uses this). Set
-//! `IGERN_TEST_DISTANCE=network` to run the whole sweep under road-network
-//! distance: both stores carry the same synthetic road graph and every
-//! query registers in `DistanceMode::Network` (the CI network leg).
+//! Set `IGERN_TEST_BATCH=on` to run the whole sweep with shared-scan
+//! batch evaluation enabled on both sides — batching must be
+//! answer-invisible, so every assertion below holds unchanged (the CI
+//! batch leg uses this). Set `IGERN_TEST_DISTANCE=network` to run the
+//! whole sweep under road-network distance: both stores carry the same
+//! synthetic road graph and every query registers in
+//! `DistanceMode::Network` (the CI network leg).
 
 mod common;
 
 use common::Lcg;
-use igern::core::processor::{Algorithm, Processor};
+use igern::core::processor::Algorithm;
 use igern::core::types::{DistanceMode, ObjectKind};
 use igern::core::{NetworkSpace, SpatialStore};
-use igern::engine::{Placement, ShardedEngine};
+use igern::engine::{Placement, TickRunner};
 use igern::geom::{Aabb, Point};
 use igern::grid::ObjectId;
 use igern::mobgen::{build_synthetic_network, SyntheticNetworkConfig};
@@ -31,7 +30,7 @@ const N_B: usize = 36;
 const TICKS: usize = 120;
 
 /// A store with `N_A` kind-A objects followed by `N_B` kind-B objects.
-/// Under the network leg both backends get the same seeded road graph.
+/// Under the network leg both sides get the same seeded road graph.
 fn loaded_store(seed: u64) -> SpatialStore {
     let mut kinds = vec![ObjectKind::A; N_A];
     kinds.extend(vec![ObjectKind::B; N_B]);
@@ -62,27 +61,8 @@ const ALGOS: [Algorithm; 8] = [
     Algorithm::Knn(3),
 ];
 
-/// Worker counts to sweep: {1, 2, 4, 8} plus whatever `IGERN_TEST_WORKERS`
-/// asks for.
-fn worker_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 4, 8];
-    if let Ok(v) = std::env::var("IGERN_TEST_WORKERS").map(|v| v.trim().to_string()) {
-        if v.is_empty() {
-            return counts;
-        }
-        let extra: usize = v
-            .parse()
-            .expect("IGERN_TEST_WORKERS must be a positive integer");
-        assert!(extra >= 1, "IGERN_TEST_WORKERS must be a positive integer");
-        if !counts.contains(&extra) {
-            counts.push(extra);
-        }
-    }
-    counts
-}
-
 /// `IGERN_TEST_DISTANCE=network` runs the sweep under road-network
-/// distance on both backends (which must still agree bit-exactly).
+/// distance on both sides (which must still agree bit-exactly).
 fn distance_mode() -> DistanceMode {
     match std::env::var("IGERN_TEST_DISTANCE")
         .as_deref()
@@ -94,8 +74,8 @@ fn distance_mode() -> DistanceMode {
     }
 }
 
-/// `IGERN_TEST_BATCH=on` switches both backends to the batched
-/// shared-scan path (which must be bit-identical to per-query).
+/// `IGERN_TEST_BATCH=on` switches both sides to the batched shared-scan
+/// path (which must be bit-identical to per-query).
 fn batch_on() -> bool {
     matches!(
         std::env::var("IGERN_TEST_BATCH").as_deref().map(str::trim),
@@ -103,13 +83,14 @@ fn batch_on() -> bool {
     )
 }
 
-/// Drive the serial processor and a sharded engine through the identical
-/// randomized stream — movement, skip routing on, and mid-stream
-/// add/remove of standing queries — asserting lock-step equality.
+/// Drive the one-worker reference and a `workers`-shard runner through
+/// the identical randomized stream — movement, skip routing on, and
+/// mid-stream add/remove of standing queries — asserting lock-step
+/// equality.
 fn run_stream(workers: usize, placement: Placement, seed: u64) {
     let mode = distance_mode();
-    let mut serial = Processor::new(loaded_store(seed));
-    let mut engine = ShardedEngine::new(loaded_store(seed), workers, placement);
+    let mut serial = TickRunner::new(loaded_store(seed), 1, Placement::RoundRobin);
+    let mut engine = TickRunner::new(loaded_store(seed), workers, placement);
     if batch_on() {
         serial.set_batch(true);
         engine.set_batch(true);
@@ -121,7 +102,7 @@ fn run_stream(workers: usize, placement: Placement, seed: u64) {
         .enumerate()
         .map(|(i, &algo)| {
             let obj = ObjectId(i as u32 * 3);
-            let qs = serial.add_query_in(obj, algo, mode);
+            let qs = serial.add_query_in(obj, algo, mode).expect("valid query");
             let qe = engine.add_query_in(obj, algo, mode).expect("valid query");
             assert_eq!(qs, qe, "index assignment diverged on add");
             qs
@@ -150,7 +131,7 @@ fn run_stream(workers: usize, placement: Placement, seed: u64) {
             }
         }
         // Mid-stream churn: sometimes remove a standing query, sometimes
-        // register a new one (reusing the tombstoned slot on both sides).
+        // register a new one (reusing the tombstoned index on both sides).
         if live.len() > 2 && rng.bool(0.08) {
             let at = rng.usize(live.len());
             let q = live.swap_remove(at);
@@ -160,7 +141,7 @@ fn run_stream(workers: usize, placement: Placement, seed: u64) {
         if rng.bool(0.08) {
             let algo = ALGOS[rng.usize(ALGOS.len())];
             let obj = ObjectId((rng.usize(N_A / 2) * 2) as u32);
-            let qs = serial.add_query_in(obj, algo, mode);
+            let qs = serial.add_query_in(obj, algo, mode).expect("valid query");
             let qe = engine.add_query_in(obj, algo, mode).expect("valid query");
             assert_eq!(qs, qe, "index assignment diverged at tick {tick}");
             live.push(qs);
@@ -197,7 +178,7 @@ fn run_stream(workers: usize, placement: Placement, seed: u64) {
 
 #[test]
 fn engine_matches_serial_across_worker_counts() {
-    for workers in worker_counts() {
+    for workers in [1, 2, 4, 8] {
         run_stream(workers, Placement::RoundRobin, 0x0e17_a2b4);
     }
 }

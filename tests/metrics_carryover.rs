@@ -2,8 +2,7 @@
 //!
 //! * Skip carry-over: a query-tick skipped by dirty-region routing must
 //!   report the `monitored` / `answer_size` / `region_area` of the most
-//!   recent *evaluated* tick, identically on the serial processor and
-//!   the sharded engine at every worker count.
+//!   recent *evaluated* tick, identically at every worker count.
 //! * Desync resilience: a bucket/position desync injected into the store
 //!   must not panic the tick — the affected object is treated as removed,
 //!   the tick completes, and `desync_total` counts the event.
@@ -12,10 +11,10 @@ mod common;
 
 use common::Lcg;
 use igern::core::obs::{MetricsRegistry, PipelineMetrics};
-use igern::core::processor::{Algorithm, Processor};
+use igern::core::processor::Algorithm;
 use igern::core::types::ObjectKind;
 use igern::core::SpatialStore;
-use igern::engine::{EngineMetrics, Placement, ShardedEngine};
+use igern::engine::{Placement, TickRunner};
 use igern::geom::{Aabb, Point};
 use igern::grid::ObjectId;
 
@@ -69,9 +68,9 @@ fn check_carryover(history: &igern::core::history::History, ctx: &str) -> (usize
 }
 
 /// Skipped ticks must carry the last evaluated tick's `monitored`,
-/// `answer_size`, and `region_area` forward unchanged — on the serial
-/// processor and on the sharded engine, which must also agree with each
-/// other sample-for-sample.
+/// `answer_size`, and `region_area` forward unchanged — on the one-worker
+/// runner and on a sharded one, which must also agree with each other
+/// sample-for-sample.
 #[test]
 fn skipped_ticks_carry_over_last_evaluated_state() {
     const ALGOS: [Algorithm; 4] = [
@@ -82,14 +81,14 @@ fn skipped_ticks_carry_over_last_evaluated_state() {
     ];
     for workers in [1usize, 2, 4] {
         let seed = 0xca11_0ff5;
-        let mut serial = Processor::new(loaded_store(seed));
-        let mut engine = ShardedEngine::new(loaded_store(seed), workers, Placement::RoundRobin);
+        let mut serial = TickRunner::new(loaded_store(seed), 1, Placement::RoundRobin);
+        let mut engine = TickRunner::new(loaded_store(seed), workers, Placement::RoundRobin);
         let queries: Vec<usize> = ALGOS
             .iter()
             .enumerate()
             .map(|(i, &algo)| {
                 let obj = ObjectId(i as u32 * 4);
-                let qs = serial.add_query(obj, algo);
+                let qs = serial.add_query(obj, algo).expect("valid query");
                 let qe = engine.add_query(obj, algo).expect("valid query");
                 assert_eq!(qs, qe);
                 qs
@@ -146,57 +145,32 @@ fn skipped_ticks_carry_over_last_evaluated_state() {
 }
 
 #[test]
-fn desync_is_counted_and_the_tick_completes_serial() {
-    let registry = MetricsRegistry::new();
-    let metrics = PipelineMetrics::register(&registry, "t");
-    let mut p = Processor::new(loaded_store(11));
-    p.set_metrics(Some(metrics.clone()));
-    p.set_skip_routing(false);
-    let q = p.add_query(ObjectId(0), Algorithm::IgernMono);
-    p.evaluate_all();
-    let before = *p.history(q).latest().unwrap();
-    assert!(!before.skipped);
-    assert_eq!(metrics.desync_total.get(), 0);
+fn desync_is_counted_and_the_tick_completes() {
+    for workers in [1, 2] {
+        let registry = MetricsRegistry::new();
+        let mut p = TickRunner::new(loaded_store(11), workers, Placement::RoundRobin);
+        p.attach_metrics(&registry, "t");
+        let metrics = PipelineMetrics::register(&registry, "t");
+        p.set_skip_routing(false);
+        let q = p.add_query(ObjectId(0), Algorithm::IgernMono).unwrap();
+        p.evaluate_all();
+        let before = *p.history(q).latest().unwrap();
+        assert!(!before.skipped);
+        assert_eq!(metrics.desync_total.get(), 0);
 
-    // Corrupt the anchor's position slot: the buckets still list it, the
-    // position lookup fails — exactly the desync the hot path must
-    // survive.
-    assert!(p.debug_force_desync(ObjectId(0)));
-    p.step(&[(ObjectId(5), Point::new(1.0, 1.0))]);
+        // Corrupt the anchor's position slot: the buckets still list it,
+        // the position lookup fails — exactly the desync the hot path
+        // must survive.
+        assert!(p.debug_force_desync(ObjectId(0)));
+        p.step(&[(ObjectId(5), Point::new(1.0, 1.0))]);
 
-    assert!(metrics.desync_total.get() >= 1, "desync was not counted");
-    let after = p.history(q).latest().unwrap();
-    assert!(after.skipped, "desynced query must degrade to a skip");
-    assert_eq!(after.monitored, before.monitored, "carry-over after desync");
-    assert_eq!(after.answer_size, before.answer_size);
-    assert_eq!(p.tick(), 1, "the tick must still complete");
-}
-
-#[test]
-fn desync_is_counted_and_the_tick_completes_sharded() {
-    let registry = MetricsRegistry::new();
-    let metrics = EngineMetrics::register(&registry, "t", 2);
-    let mut engine = ShardedEngine::new(loaded_store(13), 2, Placement::RoundRobin);
-    engine.set_metrics(Some(metrics));
-    engine.set_skip_routing(false);
-    let q = engine
-        .add_query(ObjectId(2), Algorithm::IgernMono)
-        .expect("valid query");
-    engine.evaluate_all();
-    let before = *engine.history(q).latest().unwrap();
-
-    assert!(engine.debug_force_desync(ObjectId(2)));
-    engine.step(&[(ObjectId(7), Point::new(2.0, 2.0))]);
-
-    let m = engine.metrics().expect("metrics attached");
-    assert!(
-        m.pipeline.desync_total.get() >= 1,
-        "desync was not counted through the engine"
-    );
-    let after = engine.history(q).latest().unwrap();
-    assert!(after.skipped);
-    assert_eq!(after.monitored, before.monitored);
-    assert_eq!(engine.tick(), 1);
+        assert!(metrics.desync_total.get() >= 1, "desync was not counted");
+        let after = p.history(q).latest().unwrap();
+        assert!(after.skipped, "desynced query must degrade to a skip");
+        assert_eq!(after.monitored, before.monitored, "carry-over after desync");
+        assert_eq!(after.answer_size, before.answer_size);
+        assert_eq!(p.tick(), 1, "the tick must still complete");
+    }
 }
 
 /// A bichromatic query whose B-side develops desyncs must also survive:
@@ -224,11 +198,11 @@ fn bichromatic_desync_is_survived_and_counted() {
         Point::new(50.0, 55.0),
     ]);
     let registry = MetricsRegistry::new();
+    let mut p = TickRunner::new(store, 1, Placement::RoundRobin);
+    p.attach_metrics(&registry, "t");
     let metrics = PipelineMetrics::register(&registry, "t");
-    let mut p = Processor::new(store);
-    p.set_metrics(Some(metrics.clone()));
     p.set_skip_routing(false);
-    let q = p.add_query(ObjectId(0), Algorithm::IgernBi);
+    let q = p.add_query(ObjectId(0), Algorithm::IgernBi).unwrap();
     p.evaluate_all();
     assert_eq!(p.history(q).latest().unwrap().answer_size, 4);
 

@@ -4,9 +4,10 @@
 mod common;
 
 use common::Lcg;
-use igern::core::processor::{Algorithm, Processor};
+use igern::core::processor::Algorithm;
 use igern::core::types::ObjectKind;
 use igern::core::{KnnMonitor, MonoIgern, RangeMonitor, SpatialStore};
+use igern::engine::{Placement, TickRunner};
 use igern::geom::{Aabb, Point};
 use igern::grid::{k_nearest, Grid, ObjectId, OpCounters};
 use igern::mobgen::{Workload, WorkloadConfig};
@@ -155,7 +156,7 @@ impl Fnv {
 /// initial evaluation plus 30 ticks of movement; returns the FNV-1a
 /// digests of `(answers, all seven op counters, monitored)` and of the
 /// answers alone, over every query and tick.
-fn igern_run_digests(algo: Algorithm, batch: bool) -> (u64, u64) {
+fn igern_run_digests(algo: Algorithm, batch: bool, workers: usize) -> (u64, u64) {
     const N: usize = 2400;
     const SIDE: f64 = 1000.0;
     const QUERIES: usize = 16;
@@ -182,9 +183,12 @@ fn igern_run_digests(algo: Algorithm, batch: bool) -> (u64, u64) {
     }
     let mut store = SpatialStore::new(Aabb::from_coords(0.0, 0.0, SIDE, SIDE), 32, kinds);
     store.load(&pts);
-    let mut p = Processor::new(store);
+    let mut p = TickRunner::new(store, workers, Placement::RoundRobin);
     p.set_batch(batch);
-    let qs: Vec<usize> = anchors.iter().map(|&a| p.add_query(a, algo)).collect();
+    let qs: Vec<usize> = anchors
+        .iter()
+        .map(|&a| p.add_query(a, algo).unwrap())
+        .collect();
     let (mut full, mut answers) = (Fnv::new(), Fnv::new());
     for tick in 0..=30 {
         if tick == 0 {
@@ -240,6 +244,11 @@ fn igern_run_digests(algo: Algorithm, batch: bool) -> (u64, u64) {
 /// join `NN_A`) instead of the capped blocker count, so its full digest
 /// moved from the parent's `0xe25ace557c889d87` to `IgernBi`'s row — its
 /// answers digest is the parent's.
+///
+/// The digests were produced by the serial loop `TickRunner` replaced
+/// (one thread, one query vector). Answers, op counters and `monitored`
+/// do not depend on how the queries are sharded, so every row must
+/// reproduce at any worker count.
 #[test]
 fn igern_behaviour_is_pinned_to_the_pre_merge_twins() {
     let rows: [(Algorithm, u64, u64); 8] = [
@@ -277,15 +286,18 @@ fn igern_behaviour_is_pinned_to_the_pre_merge_twins() {
         ),
     ];
     for (algo, full, answers) in rows {
-        for batch in [false, true] {
-            let got = igern_run_digests(algo, batch);
-            assert_eq!(
-                got,
-                (full, answers),
-                "{algo:?} batch {batch}: (full, answers) digests {:#018x} {:#018x}",
-                got.0,
-                got.1
-            );
+        for workers in [1, 2, 4] {
+            for batch in [false, true] {
+                let got = igern_run_digests(algo, batch, workers);
+                assert_eq!(
+                    got,
+                    (full, answers),
+                    "{algo:?} batch {batch} workers {workers}: (full, answers) digests \
+                     {:#018x} {:#018x}",
+                    got.0,
+                    got.1
+                );
+            }
         }
     }
 }

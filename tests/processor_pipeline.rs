@@ -1,17 +1,18 @@
-//! Cross-crate integration tests: full workload → store → processor
+//! Cross-crate integration tests: full workload → store → tick runner
 //! pipelines comparing every algorithm tick-by-tick against the
 //! brute-force oracles.
 
 use igern::core::naive;
-use igern::core::processor::{Algorithm, Processor};
+use igern::core::processor::Algorithm;
 use igern::core::types::ObjectKind;
 use igern::core::SpatialStore;
+use igern::engine::{Placement, TickRunner};
 use igern::geom::Point;
 use igern::grid::ObjectId;
 use igern::mobgen::{ObjKind, Workload, WorkloadConfig};
 
-/// Build a loaded processor over a seeded network workload.
-fn build(cfg: &WorkloadConfig, grid: usize) -> (Workload, Processor) {
+/// Build a loaded one-shard runner over a seeded network workload.
+fn build(cfg: &WorkloadConfig, grid: usize) -> (Workload, TickRunner) {
     let world = Workload::from_config(cfg);
     let kinds: Vec<ObjectKind> = world
         .kinds()
@@ -26,10 +27,10 @@ fn build(cfg: &WorkloadConfig, grid: usize) -> (Workload, Processor) {
         .map(|i| world.mover().position(i))
         .collect();
     store.load(&spawn);
-    (world, Processor::new(store))
+    (world, TickRunner::new(store, 1, Placement::RoundRobin))
 }
 
-fn advance(world: &mut Workload, proc: &mut Processor) {
+fn advance(world: &mut Workload, proc: &mut TickRunner) {
     let ups: Vec<(ObjectId, Point)> = world
         .advance()
         .iter()
@@ -45,9 +46,9 @@ fn mono_algorithms_agree_with_oracle_over_a_long_run() {
     let queries = [ObjectId(0), ObjectId(250), ObjectId(599)];
     let mut handles = Vec::new();
     for &q in &queries {
-        handles.push((q, proc.add_query(q, Algorithm::IgernMono)));
-        handles.push((q, proc.add_query(q, Algorithm::Crnn)));
-        handles.push((q, proc.add_query(q, Algorithm::TplRepeat)));
+        handles.push((q, proc.add_query(q, Algorithm::IgernMono).unwrap()));
+        handles.push((q, proc.add_query(q, Algorithm::Crnn).unwrap()));
+        handles.push((q, proc.add_query(q, Algorithm::TplRepeat).unwrap()));
     }
     proc.evaluate_all();
     for tick in 0..25 {
@@ -70,8 +71,8 @@ fn bi_algorithms_agree_with_oracle_over_a_long_run() {
     let queries = [ObjectId(0), ObjectId(120), ObjectId(249)];
     let mut handles = Vec::new();
     for &q in &queries {
-        handles.push((q, proc.add_query(q, Algorithm::IgernBi)));
-        handles.push((q, proc.add_query(q, Algorithm::VoronoiRepeat)));
+        handles.push((q, proc.add_query(q, Algorithm::IgernBi).unwrap()));
+        handles.push((q, proc.add_query(q, Algorithm::VoronoiRepeat).unwrap()));
     }
     proc.evaluate_all();
     for tick in 0..25 {
@@ -96,7 +97,7 @@ fn answers_are_invariant_to_grid_size() {
     for grid in [4usize, 16, 48] {
         let cfg = WorkloadConfig::network_mono(300, 5);
         let (mut world, mut proc) = build(&cfg, grid);
-        let h = proc.add_query(ObjectId(42), Algorithm::IgernMono);
+        let h = proc.add_query(ObjectId(42), Algorithm::IgernMono).unwrap();
         proc.evaluate_all();
         let mut per_tick = vec![proc.answer(h).to_vec()];
         for _ in 0..10 {
@@ -114,7 +115,10 @@ fn mono_answer_never_exceeds_six() {
     let cfg = WorkloadConfig::network_mono(800, 31);
     let (mut world, mut proc) = build(&cfg, 32);
     let hs: Vec<usize> = (0..8u32)
-        .map(|i| proc.add_query(ObjectId(i * 100), Algorithm::IgernMono))
+        .map(|i| {
+            proc.add_query(ObjectId(i * 100), Algorithm::IgernMono)
+                .unwrap()
+        })
         .collect();
     proc.evaluate_all();
     for _ in 0..15 {
@@ -135,7 +139,7 @@ fn teleporting_objects_are_handled() {
     // the incremental step must stay exact.
     let cfg = WorkloadConfig::network_mono(200, 77);
     let (mut world, mut proc) = build(&cfg, 16);
-    let h = proc.add_query(ObjectId(10), Algorithm::IgernMono);
+    let h = proc.add_query(ObjectId(10), Algorithm::IgernMono).unwrap();
     proc.evaluate_all();
     let space = *proc.store().space();
     for tick in 0..12 {
@@ -165,7 +169,7 @@ fn quiescent_stream_is_cheap_and_stable() {
     // and the incremental steps must do almost no search work.
     let cfg = WorkloadConfig::network_mono(400, 9);
     let (_world, mut proc) = build(&cfg, 24);
-    let h = proc.add_query(ObjectId(7), Algorithm::IgernMono);
+    let h = proc.add_query(ObjectId(7), Algorithm::IgernMono).unwrap();
     proc.evaluate_all();
     let first = proc.answer(h).to_vec();
     for _ in 0..10 {
@@ -201,9 +205,9 @@ fn duplicate_positions_do_not_break_exactness() {
         Point::new(8.0, 8.0),
         Point::new(1.0, 1.0),
     ]);
-    let mut proc = Processor::new(store);
-    let hi = proc.add_query(ObjectId(0), Algorithm::IgernMono);
-    let hc = proc.add_query(ObjectId(0), Algorithm::Crnn);
+    let mut proc = TickRunner::new(store, 1, Placement::RoundRobin);
+    let hi = proc.add_query(ObjectId(0), Algorithm::IgernMono).unwrap();
+    let hc = proc.add_query(ObjectId(0), Algorithm::Crnn).unwrap();
     proc.evaluate_all();
     let objs: Vec<(ObjectId, Point)> = proc.store().all().iter().collect();
     let want = naive::mono_rnn(&objs, Point::new(5.0, 5.0), Some(ObjectId(0)));
@@ -225,8 +229,8 @@ fn random_waypoint_movement_also_exact() {
         kind_a_fraction: Some(0.5),
     };
     let (mut world, mut proc) = build(&cfg, 16);
-    let hm = proc.add_query(ObjectId(3), Algorithm::IgernMono);
-    let hb = proc.add_query(ObjectId(3), Algorithm::IgernBi);
+    let hm = proc.add_query(ObjectId(3), Algorithm::IgernMono).unwrap();
+    let hb = proc.add_query(ObjectId(3), Algorithm::IgernBi).unwrap();
     proc.evaluate_all();
     for tick in 0..15 {
         advance(&mut world, &mut proc);

@@ -1,5 +1,5 @@
-//! Dirty-region update routing: a processor with skip routing enabled
-//! must produce exactly the answers of a force-evaluating processor over
+//! Dirty-region update routing: a runner with skip routing enabled
+//! must produce exactly the answers of a force-evaluating runner over
 //! the same update stream — for every algorithm, under movement, dynamic
 //! insertion, and removal — while actually skipping work when updates
 //! stay away from the watched cells.
@@ -7,9 +7,10 @@
 mod common;
 
 use common::Lcg;
-use igern::core::processor::{Algorithm, Processor};
+use igern::core::processor::Algorithm;
 use igern::core::types::ObjectKind;
 use igern::core::SpatialStore;
+use igern::engine::{Placement, TickRunner};
 use igern::geom::{Aabb, Point};
 use igern::grid::ObjectId;
 
@@ -54,16 +55,16 @@ fn run_equivalence_stream(rng: &mut Lcg) {
         Algorithm::Knn(3),
     ];
     let mk = |rng: &mut Lcg, routing: bool| {
-        let mut p = Processor::new(loaded_store(rng, N_A, N_B, 16));
+        let mut p = TickRunner::new(loaded_store(rng, N_A, N_B, 16), 1, Placement::RoundRobin);
         p.set_skip_routing(routing);
         // Anchors are kind-A objects (required by the bichromatic ones).
         for (i, &algo) in algos.iter().enumerate() {
-            p.add_query(ObjectId(i as u32 * 3), algo);
+            p.add_query(ObjectId(i as u32 * 3), algo).unwrap();
         }
         p.evaluate_all();
         p
     };
-    // Both processors must see the same initial positions: clone the
+    // Both runners must see the same initial positions: clone the
     // stream by re-seeding.
     let seed = rng.next_u64();
     let mut routed = mk(&mut Lcg::new(seed), true);
@@ -73,7 +74,7 @@ fn run_equivalence_stream(rng: &mut Lcg) {
     let mut dynamic: Vec<ObjectId> = Vec::new();
     for tick in 0..TICKS {
         // Movement: most ticks only a far-corner clique moves, so the
-        // routed processor has real opportunities to skip.
+        // routed runner has real opportunities to skip.
         let mut ups: Vec<(ObjectId, Point)> = Vec::new();
         let global = rng.bool(0.3);
         let n_moves = 1 + rng.usize(8);
@@ -119,7 +120,7 @@ fn run_equivalence_stream(rng: &mut Lcg) {
             );
         }
     }
-    // Sanity: the routed processor did skip something over 220 ticks of
+    // Sanity: the routed runner did skip something over 220 ticks of
     // mostly-localized updates.
     let skipped: usize = (0..algos.len())
         .map(|qi| routed.history(qi).iter().filter(|s| s.skipped).count())
@@ -128,7 +129,7 @@ fn run_equivalence_stream(rng: &mut Lcg) {
     let forced_skips: usize = (0..algos.len())
         .map(|qi| forced.history(qi).iter().filter(|s| s.skipped).count())
         .sum();
-    assert_eq!(forced_skips, 0, "forced processor must never skip");
+    assert_eq!(forced_skips, 0, "forced runner must never skip");
 }
 
 /// The acceptance workload: 64 queries spread over the space, updates
@@ -158,10 +159,11 @@ fn corner_updates_skip_the_majority_of_query_ticks() {
     let mk = |routing: bool| {
         let mut store = SpatialStore::new(space(), 16, vec![ObjectKind::A; n]);
         store.load(&pts);
-        let mut p = Processor::new(store);
+        let mut p = TickRunner::new(store, 1, Placement::RoundRobin);
         p.set_skip_routing(routing);
         for i in 0..N_QUERIES {
-            p.add_query(ObjectId(i as u32), Algorithm::IgernMono);
+            p.add_query(ObjectId(i as u32), Algorithm::IgernMono)
+                .unwrap();
         }
         p.evaluate_all();
         p

@@ -4,9 +4,10 @@
 //! cover in isolation.
 
 use igern::core::naive;
-use igern::core::processor::{Algorithm, Processor};
+use igern::core::processor::Algorithm;
 use igern::core::types::ObjectKind;
 use igern::core::SpatialStore;
+use igern::engine::{Placement, TickRunner};
 use igern::geom::Point;
 use igern::grid::ObjectId;
 use igern::mobgen::{ObjKind, Workload, WorkloadConfig};
@@ -28,7 +29,7 @@ fn mixed_fleet_long_run_with_churn() {
         .map(|i| world.mover().position(i))
         .collect();
     store.load(&spawn);
-    let mut proc = Processor::new(store);
+    let mut proc = TickRunner::new(store, 1, Placement::RoundRobin);
 
     // One of everything, anchored on A-objects.
     let anchors = [ObjectId(0), ObjectId(50), ObjectId(100), ObjectId(150)];
@@ -45,7 +46,7 @@ fn mixed_fleet_long_run_with_churn() {
     let mut handles = Vec::new();
     for (i, &algo) in algos.iter().enumerate() {
         let anchor = anchors[i % anchors.len()];
-        handles.push((anchor, algo, proc.add_query(anchor, algo)));
+        handles.push((anchor, algo, proc.add_query(anchor, algo).unwrap()));
     }
     proc.evaluate_all();
 

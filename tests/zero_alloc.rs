@@ -1,19 +1,21 @@
 //! The steady-state routed tick loop does not touch the allocator.
 //!
 //! A counting `#[global_allocator]` turns the data-oriented hot path's
-//! claim (DESIGN.md §14) into an assertion: after warm-up, a serial
-//! [`Processor::step`] with dirty-region routing on and bounded
+//! claim (DESIGN.md §14) into an assertion: after warm-up, a one-worker
+//! [`TickRunner::step`] with dirty-region routing on and bounded
 //! histories performs zero allocations per tick, per-query and batched
-//! alike. The counter is per thread, so libtest's own threads cannot
+//! alike (spawning a thread would allocate on the caller, so this also
+//! holds the one-worker round to running inline). The counter is per thread, so libtest's own threads cannot
 //! disturb it; this is the only `#[test]` in the file so nothing else
 //! runs on the measuring thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use igern::core::processor::{Algorithm, Processor};
+use igern::core::processor::Algorithm;
 use igern::core::types::ObjectKind;
 use igern::core::SpatialStore;
+use igern::engine::{Placement, TickRunner};
 use igern::geom::{Aabb, Point};
 use igern::grid::ObjectId;
 use igern::mobgen::rng::Rng64;
@@ -97,17 +99,18 @@ fn allocations_per_tick(batch: bool) -> (Vec<u64>, usize) {
     );
     store.load(&pts);
 
-    let mut p = Processor::new(store);
+    let mut p = TickRunner::new(store, 1, Placement::RoundRobin);
     p.set_batch(batch);
     // Bounded histories become rings: pushes stop allocating once full.
     p.set_history_capacity(Some(4));
     for i in 0..QUERIES {
-        p.add_query(ObjectId(i as u32), Algorithm::IgernMono);
+        p.add_query(ObjectId(i as u32), Algorithm::IgernMono)
+            .unwrap();
     }
     p.evaluate_all();
 
     // The whole stream is pre-built so the counter sees only the
-    // processor, never the workload generator.
+    // runner, never the workload generator.
     let first_mover = (OBJECTS - MOVERS) as u32;
     let stream: Vec<Vec<(ObjectId, Point)>> = (0..WARMUP_TICKS + MEASURED_TICKS)
         .map(|_| {
