@@ -51,7 +51,8 @@ pub(crate) fn run(args: &ExpArgs) {
     write_csv(&args.out_dir, "e8_krnn", &headers, &rows);
     println!(
         "\nExpected shape: monitored objects and answer sizes grow roughly\n\
-         linearly with k (bounded by 6k); CPU grows with k because the\n\
-         order-k region is non-convex and its redraw scans the grid."
+         linearly with k (bounded by 6k); CPU grows faster than k: more\n\
+         tighten rounds per evaluation, each redrawing the non-convex\n\
+         order-k region against up to 6k bisectors."
     );
 }

@@ -22,8 +22,8 @@ use igern_grid::{
 };
 
 use crate::prune::{
-    clean_dominated_k_with, kill_cells_beyond_bisector, recompute_alive_k_into, PruneGranularity,
-    PruneScratch,
+    clean_dominated_k_with, kill_cells_beyond_bisector, monitored_capacity, recompute_alive_k_into,
+    PruneGranularity, PruneScratch,
 };
 use crate::scratch::EvalScratch;
 
@@ -113,8 +113,8 @@ impl BiIgern {
             q_id,
             q,
             alive: CellSet::full(grid_b.num_cells()),
-            nn_a: Vec::new(),
-            rnn_b: Vec::new(),
+            nn_a: Vec::with_capacity(monitored_capacity(k)),
+            rnn_b: Vec::with_capacity(monitored_capacity(k)),
             stale: false,
             granularity,
         };

@@ -34,7 +34,9 @@ use igern_grid::{
     Grid, ObjectId, OpCounters,
 };
 
-use crate::prune::{clean_dominated_k_with, recompute_alive_k_into, PruneGranularity};
+use crate::prune::{
+    clean_dominated_k_with, monitored_capacity, recompute_alive_k_into, PruneGranularity,
+};
 use crate::scratch::EvalScratch;
 
 /// Continuous monochromatic RkNN query state.
@@ -111,12 +113,8 @@ impl MonoIgern {
             q_id,
             q,
             alive: CellSet::full(grid.num_cells()),
-            // Cleaning bounds the k = 1 candidate set at 6 (six-region
-            // lemma); tighten can briefly overshoot, so reserve enough
-            // headroom that steady-state ticks never regrow these. The
-            // reservation is fixed: `k` arrives in a SUBSCRIBE frame.
-            cand: Vec::with_capacity(16),
-            rnn: Vec::with_capacity(16),
+            cand: Vec::with_capacity(monitored_capacity(k)),
+            rnn: Vec::with_capacity(monitored_capacity(k)),
             stale: false,
             granularity,
         };

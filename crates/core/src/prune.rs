@@ -7,7 +7,9 @@
 //! than q. Thus, all the grid cells between b_j and these boundaries are
 //! marked as dead" (§3.1).
 
-use igern_geom::{ConvexPolygon, HalfPlane, Point, RegionSide};
+use std::ops::Range;
+
+use igern_geom::{ConvexPolygon, HalfPlane, Point};
 use igern_grid::{CellSet, Grid};
 
 /// How aggressively objects inside *alive* cells are filtered during the
@@ -45,32 +47,66 @@ pub fn kill_cells_beyond_bisector(
     kill_cells(grid, alive, &h)
 }
 
-/// Mark dead every alive cell entirely outside `h`'s kept side.
+/// The columns of grid row `iy` whose cells lie entirely outside `h`'s
+/// kept side — always a (possibly empty) prefix or suffix of the row.
 ///
 /// A cell is outside iff its most-inside corner — picked per axis from the
 /// sign of the boundary normal — lies strictly on the pruned side, which
 /// by linearity is exactly the all-four-corners test of
 /// [`HalfPlane::classify`]. Along one grid row that corner's signed
-/// distance is monotone in the column index, so the dead cells of a row
-/// form a contiguous run at the row's pruned end: each row resolves with a
-/// bisection of at most `log n` corner tests plus one masked range clear,
-/// instead of classifying every alive cell individually.
-pub fn kill_cells(grid: &Grid, alive: &mut CellSet, h: &HalfPlane) -> usize {
+/// distance is monotone in the column index, so the dead cells form a
+/// contiguous run at the row's pruned end, found with a bisection of at
+/// most `log n` corner tests.
+fn dead_columns(grid: &Grid, h: &HalfPlane, iy: usize) -> Range<usize> {
     let n = grid.cells_per_side();
-    if n == 0 || alive.is_empty() {
-        return 0;
-    }
     let normal = h.normal();
     // Evaluated with the same arithmetic as `classify(&cell_bounds(..))`
     // at that corner, so the dead set is bit-identical to a per-cell
     // classify sweep (floating-point monotonicity puts the evaluated
     // minimum at the geometric minimum corner).
-    let outside = |ix: usize, iy: usize| -> bool {
+    let outside = |ix: usize| -> bool {
         let b = grid.cell_bounds_at(ix, iy);
         let x = if normal.x > 0.0 { b.min.x } else { b.max.x };
         let y = if normal.y > 0.0 { b.min.y } else { b.max.y };
         !h.contains(Point::new(x, y))
     };
+    // Dead columns form a suffix when the normal points along +x and a
+    // prefix when it points along -x (a whole-row kill when the boundary
+    // is horizontal and the row's band is beyond it).
+    let suffix = normal.x > 0.0;
+    let (dead_end, kept_end) = if suffix { (n - 1, 0) } else { (0, n - 1) };
+    if !outside(dead_end) {
+        return 0..0;
+    }
+    if outside(kept_end) {
+        return 0..n;
+    }
+    // Invariant: outside(dead), !outside(kept); close in on the boundary.
+    let (mut dead, mut kept) = (dead_end, kept_end);
+    while dead.abs_diff(kept) > 1 {
+        let mid = (dead + kept) / 2;
+        if outside(mid) {
+            dead = mid;
+        } else {
+            kept = mid;
+        }
+    }
+    if suffix {
+        dead..n
+    } else {
+        0..dead + 1
+    }
+}
+
+/// Mark dead every alive cell entirely outside `h`'s kept side. Returns
+/// the number of cells killed.
+///
+/// On one grid row the dead cells are a contiguous run at the row's pruned
+/// end, so each row resolves with one bisection (`dead_columns`) plus one
+/// masked range clear instead of classifying every alive cell
+/// individually — the same dead set, bit for bit.
+pub fn kill_cells(grid: &Grid, alive: &mut CellSet, h: &HalfPlane) -> usize {
+    let n = grid.cells_per_side();
     // Rows with no alive cell are no-op kills; bound the sweep to the
     // alive id range (after a few bisectors the region is a handful of
     // rows around q).
@@ -79,65 +115,24 @@ pub fn kill_cells(grid: &Grid, alive: &mut CellSet, h: &HalfPlane) -> usize {
     };
     let mut removed = 0;
     for iy in first / n..=last / n {
-        // Dead columns form a suffix when the normal points along +x and
-        // a prefix when it points along -x (a whole-row kill when the
-        // boundary is horizontal and the row's band is beyond it).
-        let range = if normal.x > 0.0 {
-            if !outside(n - 1, iy) {
-                continue;
-            }
-            if outside(0, iy) {
-                0..n
-            } else {
-                // Invariant: outside(hi), !outside(lo); find the first
-                // dead column.
-                let (mut lo, mut hi) = (0, n - 1);
-                while hi - lo > 1 {
-                    let mid = (lo + hi) / 2;
-                    if outside(mid, iy) {
-                        hi = mid;
-                    } else {
-                        lo = mid;
-                    }
-                }
-                hi..n
-            }
-        } else {
-            if !outside(0, iy) {
-                continue;
-            }
-            if outside(n - 1, iy) {
-                0..n
-            } else {
-                // Invariant: outside(lo), !outside(hi); find the last
-                // dead column.
-                let (mut lo, mut hi) = (0, n - 1);
-                while hi - lo > 1 {
-                    let mid = (lo + hi) / 2;
-                    if outside(mid, iy) {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                0..lo + 1
-            }
-        };
-        removed += alive.remove_range(iy * n + range.start, iy * n + range.end);
+        let dead = dead_columns(grid, h, iy);
+        removed += alive.remove_range(iy * n + dead.start, iy * n + dead.end);
     }
     removed
 }
 
 /// Reusable buffers for the pruning and cleaning routines: polygon rings
-/// for the scanline redraw, bisector staging for the order-k redraw, and
-/// ordering/keep marks for candidate cleaning. One of these lives inside
-/// every `EvalScratch`, so steady-state redraws allocate nothing.
+/// for the scanline redraw, bisector staging and one row's coverage
+/// counts for the order-k redraw, and ordering/keep marks for candidate
+/// cleaning. One of these lives inside every `EvalScratch`, so
+/// steady-state redraws allocate nothing.
 #[derive(Debug, Clone, Default)]
 pub struct PruneScratch {
     region: ConvexPolygon,
     strip: ConvexPolygon,
     clip_buf: Vec<Point>,
     planes: Vec<HalfPlane>,
+    cover: Vec<i32>,
     order: Vec<usize>,
     keep: Vec<bool>,
     kept: Vec<Point>,
@@ -241,9 +236,13 @@ pub fn recompute_alive_into(
 /// the query, so nothing in it can be a reverse k-nearest neighbor).
 ///
 /// The order-k region is a union of half-plane intersections and is not
-/// convex, so the scanline trick of [`recompute_alive`] does not apply;
-/// the grid is scanned densely. `k = 1` falls back to the fast convex
-/// path.
+/// convex, so the scanline trick of [`recompute_alive`] does not apply.
+/// What still holds is the per-row property behind [`kill_cells`]: on one
+/// grid row each bisector's dead cells are a prefix or a suffix, so the
+/// row's dead set is "the columns covered by ≥ k of P ranges" — resolved
+/// with one difference array and one prefix sum per row,
+/// `O(cells + rows · P · log n)` against the `O(cells · P)` of classifying
+/// every cell against every bisector. `k = 1` takes the convex path.
 pub fn recompute_alive_k(grid: &Grid, q: Point, sites: &[Point], k: usize) -> CellSet {
     let mut alive = CellSet::new(grid.num_cells());
     recompute_alive_k_into(grid, q, sites, k, &mut alive, &mut PruneScratch::default());
@@ -251,7 +250,8 @@ pub fn recompute_alive_k(grid: &Grid, q: Point, sites: &[Point], k: usize) -> Ce
 }
 
 /// [`recompute_alive_k`] writing into a caller-provided set with reusable
-/// bisector staging.
+/// bisector and row-coverage staging, so a warm redraw performs no heap
+/// allocation.
 pub fn recompute_alive_k_into(
     grid: &Grid,
     q: Point,
@@ -263,37 +263,77 @@ pub fn recompute_alive_k_into(
     assert!(k >= 1, "order must be positive");
     if k == 1 {
         // The order-1 region is one convex polygon, so the scanline
-        // raster applies: O(rows · vertices) against the dense scan's
-        // O(cells · planes) below, which is what makes a k = 4 redraw
-        // cost ~45× a k = 1 one on `city`.
+        // raster applies. The sweep below run at k = 1 would yield the
+        // per-bisector union instead — a strict superset of the raster
+        // (different alive sets, different counters) at ~5× its cost
+        // (DESIGN.md §9).
         recompute_alive_into(grid, q, sites, alive, scratch);
         return;
     }
-    let planes = &mut scratch.planes;
+    sweep_alive_k(grid, q, sites, k, alive, scratch);
+}
+
+/// The row sweep behind [`recompute_alive_k_into`], valid at every
+/// `k ≥ 1`: the alive set is bit-identical to classifying each cell
+/// against each bisector because [`dead_columns`] is.
+fn sweep_alive_k(
+    grid: &Grid,
+    q: Point,
+    sites: &[Point],
+    k: usize,
+    alive: &mut CellSet,
+    scratch: &mut PruneScratch,
+) {
+    let PruneScratch { planes, cover, .. } = scratch;
     planes.clear();
     planes.extend(sites.iter().filter_map(|&s| HalfPlane::bisector(q, s)));
     alive.reset(grid.num_cells());
+    alive.fill();
     if planes.len() < k {
         // Fewer than k bisectors can never exclude a cell.
-        alive.fill();
         return;
     }
-    for c in 0..grid.num_cells() {
-        let bounds = grid.cell_bounds(c);
-        let mut violated = 0;
+    // `k ≤ planes.len()` here, and a coverage count is bounded by the
+    // number of planes, so saturating cannot change a comparison.
+    let k = i32::try_from(k).unwrap_or(i32::MAX);
+    let n = grid.cells_per_side();
+    for iy in 0..n {
+        // Difference array over the row's column boundaries: +1 where a
+        // plane's dead range opens, −1 where it closes (an empty range
+        // cancels itself).
+        cover.clear();
+        cover.resize(n + 1, 0);
         for h in planes.iter() {
-            if h.classify(&bounds) == RegionSide::Outside {
-                violated += 1;
-                if violated >= k {
-                    break;
-                }
-            }
+            let dead = dead_columns(grid, h, iy);
+            cover[dead.start] += 1;
+            cover[dead.end] -= 1;
         }
-        if violated < k {
-            alive.insert(c);
+        // One prefix sum across the row; each maximal run of columns
+        // covered by ≥ k planes dies with one masked range clear.
+        let mut depth = 0i32;
+        let mut run_start = None;
+        for (ix, d) in cover.iter().enumerate() {
+            depth += d;
+            match run_start {
+                None if depth >= k => run_start = Some(ix),
+                Some(start) if depth < k => {
+                    alive.remove_range(iy * n + start, iy * n + ix);
+                    run_start = None;
+                }
+                _ => {}
+            }
         }
     }
     alive.insert(grid.cell_of_point(q));
+}
+
+/// Initial capacity of a monitor's candidate buffers at order `k`.
+/// Cleaning bounds the monitored set at `6k` (at most `k` survivors per
+/// 60° pie) and tighten overshoots it briefly, so `8k` is the headroom
+/// that keeps steady-state ticks from regrowing them — clamped, because
+/// `k` arrives in a SUBSCRIBE frame.
+pub(crate) fn monitored_capacity(k: usize) -> usize {
+    k.saturating_mul(8).clamp(16, 256)
 }
 
 /// The candidate-cleaning rule shared by both incremental steps
@@ -352,10 +392,36 @@ pub fn clean_dominated_k_with<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use igern_geom::Aabb;
+    use igern_geom::{Aabb, RegionSide};
 
     fn grid(n: usize) -> Grid {
         Grid::new(Aabb::from_coords(0.0, 0.0, 10.0, 10.0), n)
+    }
+
+    /// The dense redraw the row sweep replaced — every cell classified
+    /// against every bisector — kept as the sweep's oracle.
+    fn dense_alive_k(grid: &Grid, q: Point, sites: &[Point], k: usize) -> CellSet {
+        let planes: Vec<HalfPlane> = sites
+            .iter()
+            .filter_map(|&s| HalfPlane::bisector(q, s))
+            .collect();
+        let mut alive = CellSet::new(grid.num_cells());
+        if planes.len() < k {
+            alive.fill();
+            return alive;
+        }
+        for c in 0..grid.num_cells() {
+            let bounds = grid.cell_bounds(c);
+            let violated = planes
+                .iter()
+                .filter(|h| h.classify(&bounds) == RegionSide::Outside)
+                .count();
+            if violated < k {
+                alive.insert(c);
+            }
+        }
+        alive.insert(grid.cell_of_point(q));
+        alive
     }
 
     #[test]
@@ -433,6 +499,55 @@ mod tests {
                 assert_eq!(fast_removed, slow_removed);
             }
         }
+    }
+
+    #[test]
+    fn order_k_sweep_matches_dense_scan() {
+        // The coverage sweep must produce the exact alive set of the
+        // dense cell × plane scan at every order, grid size and bisector
+        // orientation, through a scratch reused across shapes.
+        let mut state = 4711u64;
+        let mut rnd = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) * 10.0
+        };
+        let mut scratch = PruneScratch::default();
+        let mut alive = CellSet::new(0);
+        let mut pruned_some = false;
+        for n in [1usize, 3, 8, 16, 64] {
+            let g = grid(n);
+            let w = 10.0 / n as f64;
+            for round in 0..24 {
+                let q = match round % 4 {
+                    // On a cell border (both axes) and in a corner cell.
+                    0 => Point::new(w * (n / 2) as f64, w * (n / 3) as f64),
+                    1 => Point::new(0.01 * rnd(), 10.0 - 0.01 * rnd()),
+                    _ => Point::new(rnd(), rnd()),
+                };
+                let sites: Vec<Point> = (0..(rnd() * 3.1) as usize)
+                    .map(|i| match (round + i) % 5 {
+                        // Coincident with q: no bisector.
+                        0 => q,
+                        // Axis-aligned bisectors: a zero normal component.
+                        1 => Point::new(rnd(), q.y),
+                        2 => Point::new(q.x, rnd()),
+                        _ => Point::new(rnd(), rnd()),
+                    })
+                    .collect();
+                for k in 1..=6usize {
+                    let want = dense_alive_k(&g, q, &sites, k);
+                    sweep_alive_k(&g, q, &sites, k, &mut alive, &mut scratch);
+                    let at = format!("n={n} round={round} k={k} q={q} sites={}", sites.len());
+                    assert_eq!(alive, want, "sweep: {at}");
+                    if k > 1 {
+                        recompute_alive_k_into(&g, q, &sites, k, &mut alive, &mut scratch);
+                        assert_eq!(alive, want, "redraw: {at}");
+                        pruned_some |= alive.count() < g.num_cells();
+                    }
+                }
+            }
+        }
+        assert!(pruned_some, "some order-k redraw must exclude cells");
     }
 
     #[test]

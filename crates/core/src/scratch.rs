@@ -29,7 +29,7 @@ pub struct EvalScratch {
     /// Polygon rings, bisector staging, and cleaning marks for the
     /// alive-region redraw and candidate cleaning.
     pub prune: PruneScratch,
-    /// Mindist ordering for constrained (alive-cell) NN searches.
+    /// Best-first cell frontier of the alive-cell (Phase-I) probe.
     pub cell_order: CellOrderScratch,
     /// Candidate/site position staging for bisector redraws.
     pub sites: Vec<Point>,

@@ -6,7 +6,13 @@
 //! All searches use ring expansion ([`crate::visit`]) with the monotone
 //! lower bound *"every cell in ring `r` is at least `(r−1)` cell extents
 //! away"*, so they terminate as soon as no farther ring can improve the
-//! current best.
+//! current best. The alive-cell probe
+//! ([`nearest_undominated_in_cells_feed`]) additionally scans its cells in
+//! strict mindist order: rings feed a min-heap frontier, best-first, so a
+//! probe orders only the cells near the ones it actually scans.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use igern_geom::{Aabb, Point};
 
@@ -261,79 +267,22 @@ where
     best
 }
 
-/// Reusable mindist-ordering buffer for [`nearest_in_cells_with`]. One of
-/// these lives in each evaluation scratch so the constrained search sorts
-/// in place instead of collecting a fresh vector per probe.
+/// Relative slack shaved off a ring's `(r − 1)·ext` lower bound before it
+/// is compared with a computed cell mindist, so floating-point rounding in
+/// either can never let an unloaded cell order before a loaded one.
+const RING_LB_SLACK: f64 = 1e-9;
+
+/// Reusable best-first frontier of [`nearest_undominated_in_cells_feed`]:
+/// a min-heap of the member cells loaded so far and not yet scanned, keyed
+/// `(mindist_sq, cell)`. One of these lives in each evaluation scratch;
+/// the heap keeps its capacity between probes, so warm probes perform no
+/// heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct CellOrderScratch {
-    order: Vec<(f64, CellId)>,
-}
-
-/// Nearest neighbor of `q` among the objects lying in the given cell set
-/// (IGERN's constrained search over the *alive cells*).
-///
-/// Iterates the set directly in mindist order — the alive region is
-/// typically a small neighborhood of `q`, so this beats ring expansion
-/// over the whole grid. Allocates a fresh ordering buffer; hot paths use
-/// [`nearest_in_cells_with`] and a persistent [`CellOrderScratch`].
-pub fn nearest_in_cells<O>(
-    grid: &Grid,
-    q: Point,
-    cells: &CellSet,
-    obj_pred: O,
-    ops: &mut OpCounters,
-) -> Option<Neighbor>
-where
-    O: FnMut(ObjectId, Point) -> bool,
-{
-    let mut scratch = CellOrderScratch::default();
-    nearest_in_cells_with(grid, q, cells, obj_pred, ops, &mut scratch)
-}
-
-/// [`nearest_in_cells`] writing its mindist ordering into caller-provided
-/// scratch, so steady-state probes perform no heap allocation.
-pub fn nearest_in_cells_with<O>(
-    grid: &Grid,
-    q: Point,
-    cells: &CellSet,
-    obj_pred: O,
-    ops: &mut OpCounters,
-    scratch: &mut CellOrderScratch,
-) -> Option<Neighbor>
-where
-    O: FnMut(ObjectId, Point) -> bool,
-{
-    nearest_in_cells_with_feed(grid, None, q, cells, obj_pred, ops, scratch)
-}
-
-/// [`nearest_in_cells_with`] reading primed cells from a shared-scan
-/// [`CellFeed`].
-pub fn nearest_in_cells_with_feed<O>(
-    grid: &Grid,
-    feed: Option<&CellFeed>,
-    q: Point,
-    cells: &CellSet,
-    mut obj_pred: O,
-    ops: &mut OpCounters,
-    scratch: &mut CellOrderScratch,
-) -> Option<Neighbor>
-where
-    O: FnMut(ObjectId, Point) -> bool,
-{
-    let order = &mut scratch.order;
-    order.clear();
-    order.extend(cells.iter().map(|c| (grid.cell_bounds(c).mindist_sq(q), c)));
-    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-    let mut best: Option<Neighbor> = None;
-    for &(md, cell) in order.iter() {
-        if let Some(b) = best {
-            if md >= b.dist_sq {
-                break;
-            }
-        }
-        scan_cell(grid, feed, cell, q, &mut obj_pred, &mut best, ops);
-    }
-    best
+    /// The key stores the mindist's bit pattern: a mindist is never
+    /// negative or NaN, and on such floats the `u64` order of the bits is
+    /// the numeric order.
+    frontier: BinaryHeap<Reverse<(u64, CellId)>>,
 }
 
 /// Widest candidate set the branch-free fast path of
@@ -502,10 +451,19 @@ fn column_min(
 /// `k` of them are strictly closer to it than `q`) and cell granularity
 /// when it is empty.
 ///
-/// Exactly equivalent to [`nearest_in_cells_with_feed`] with the
-/// corresponding object predicate — same result, same first-in-bucket-
-/// order tie-break, same op counters. The difference is mechanical:
-/// at `k == 1`, primed cells are scanned through the feed's position
+/// Member cells are scanned in ascending `(mindist_sq, cell)` order until
+/// the next one cannot beat the best object found — the order a full sort
+/// of the set would give, produced best-first instead: rings around `q`'s
+/// cell are loaded into the [`CellOrderScratch`] min-heap only while its
+/// minimum is not yet provably nearer than every unloaded ring, and
+/// loading stops once all `cells.count()` members have been seen. A probe
+/// therefore orders the few rings around the cells it scans, not the
+/// whole alive region, and the scanned sequence — hence the result, the
+/// first-in-bucket-order tie-break and every op counter — is that of the
+/// sort (the `#[cfg(test)]` reference holds it to that).
+///
+/// Per cell the work is a scalar replay of the object predicate, except
+/// at `k == 1`, where primed cells are scanned through the feed's position
 /// columns with the predicate inlined into a branch-free fold and the
 /// per-cell counter effect applied in bulk (a full-cell scan visits every
 /// entry and counts every dead one regardless of outcome), which is what
@@ -536,18 +494,48 @@ pub fn nearest_undominated_in_cells_feed(
         && sites.len() <= MAX_FAST_SITES;
     let excl: [u32; MAX_FAST_EXCLUDE] =
         std::array::from_fn(|i| exclude.get(i).or(exclude.first()).map_or(0, |e| e.0));
-    let order = &mut scratch.order;
-    order.clear();
-    order.extend(cells.iter().map(|c| (grid.cell_bounds(c).mindist_sq(q), c)));
-    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let (cx, cy) = grid.cell_coords(grid.cell_of_point(q));
+    let max_r = max_ring_radius(grid, cx, cy);
+    let ext = grid.min_cell_extent();
+    let total = cells.count();
+    let (mut seen, mut next_ring) = (0usize, 0usize);
+    let frontier = &mut scratch.frontier;
+    frontier.clear();
+    // At most `total` cells are ever loaded; reserving them up front keeps
+    // growth to the first probe over a region this large.
+    frontier.reserve(total);
     let mut accept = |id, pos| undominated(id, pos, q, sites, k, exclude);
     let mut best: Option<Neighbor> = None;
-    for &(md, cell) in order.iter() {
+    loop {
+        // Load rings until the frontier's minimum is strictly nearer than
+        // anything still unloaded (ring `r` and beyond is at least
+        // `(r − 1)·ext` away), or every member cell is in.
+        while seen < total && next_ring <= max_r {
+            if let Some(&Reverse((min_md, _))) = frontier.peek() {
+                let lb = (next_ring as f64 - 1.0).max(0.0) * ext;
+                if f64::from_bits(min_md) < lb * lb * (1.0 - RING_LB_SLACK) {
+                    break;
+                }
+            }
+            for cell in ring_cells(grid, cx, cy, next_ring) {
+                if cells.contains(cell) {
+                    seen += 1;
+                    let md = grid.cell_bounds(cell).mindist_sq(q);
+                    frontier.push(Reverse((md.to_bits(), cell)));
+                }
+            }
+            next_ring += 1;
+        }
+        let Some(&Reverse((md, cell))) = frontier.peek() else {
+            break;
+        };
+        let md = f64::from_bits(md);
         if let Some(b) = best {
             if md >= b.dist_sq {
                 break;
             }
         }
+        frontier.pop();
         let Some(scan) = feed.and_then(|f| f.get_scan(cell)).filter(|_| fast) else {
             scan_cell(grid, feed, cell, q, &mut accept, &mut best, ops);
             continue;
@@ -890,6 +878,42 @@ mod tests {
         g
     }
 
+    /// The alive-cell probe with no sites and no exclusions: the plain
+    /// nearest object of the cell set.
+    fn nearest_in(g: &Grid, q: Point, cells: &CellSet, ops: &mut OpCounters) -> Option<Neighbor> {
+        let scratch = &mut CellOrderScratch::default();
+        nearest_undominated_in_cells_feed(g, None, q, cells, &[], 1, &[], ops, scratch)
+    }
+
+    /// The reference the best-first frontier replaced: key every member
+    /// cell by mindist, sort the whole set, scan in that order with an
+    /// arbitrary object predicate.
+    fn nearest_in_cells_with_feed<O>(
+        grid: &Grid,
+        feed: Option<&CellFeed>,
+        q: Point,
+        cells: &CellSet,
+        mut obj_pred: O,
+        ops: &mut OpCounters,
+    ) -> Option<Neighbor>
+    where
+        O: FnMut(ObjectId, Point) -> bool,
+    {
+        let mut order: Vec<(f64, CellId)> = Vec::new();
+        order.extend(cells.iter().map(|c| (grid.cell_bounds(c).mindist_sq(q), c)));
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut best: Option<Neighbor> = None;
+        for &(md, cell) in order.iter() {
+            if let Some(b) = best {
+                if md >= b.dist_sq {
+                    break;
+                }
+            }
+            scan_cell(grid, feed, cell, q, &mut obj_pred, &mut best, ops);
+        }
+        best
+    }
+
     fn brute_nearest(g: &Grid, q: Point, exclude: Option<ObjectId>) -> Option<(ObjectId, f64)> {
         g.iter()
             .filter(|&(id, _)| Some(id) != exclude)
@@ -978,13 +1002,11 @@ mod tests {
         let mut alive = CellSet::new(g.num_cells());
         alive.insert(g.cell_of_point(Point::new(9.0, 9.0)));
         let mut ops = OpCounters::new();
-        let n = nearest_in_cells(&g, Point::new(0.0, 0.0), &alive, |_, _| true, &mut ops).unwrap();
+        let n = nearest_in(&g, Point::new(0.0, 0.0), &alive, &mut ops).unwrap();
         assert_eq!(n.id, ObjectId(2));
         // Empty set yields nothing.
         let empty = CellSet::new(g.num_cells());
-        assert!(
-            nearest_in_cells(&g, Point::new(0.0, 0.0), &empty, |_, _| true, &mut ops).is_none()
-        );
+        assert!(nearest_in(&g, Point::new(0.0, 0.0), &empty, &mut ops).is_none());
     }
 
     #[test]
@@ -1005,7 +1027,7 @@ mod tests {
         }
         let q = Point::new(7.0, 3.0);
         let mut ops = OpCounters::new();
-        let got = nearest_in_cells(&g, q, &alive, |_, _| true, &mut ops);
+        let got = nearest_in(&g, q, &alive, &mut ops);
         let want = g
             .iter()
             .filter(|&(_, p)| alive.contains(g.cell_of_point(p)))
@@ -1193,17 +1215,30 @@ mod tests {
             let b = nearest_feed(&g, Some(&feed), q, Some(excl), &mut fed);
             assert_eq!(a, b, "nearest, query {i}");
 
-            let a = nearest_in_cells_with(&g, q, &alive, |_, _| true, &mut plain, &mut scratch);
-            let b = nearest_in_cells_with_feed(
+            let sc = &mut scratch;
+            let a = nearest_undominated_in_cells_feed(
+                &g,
+                None,
+                q,
+                &alive,
+                &[],
+                1,
+                &[excl],
+                &mut plain,
+                sc,
+            );
+            let b = nearest_undominated_in_cells_feed(
                 &g,
                 Some(&feed),
                 q,
                 &alive,
-                |_, _| true,
+                &[],
+                1,
+                &[excl],
                 &mut fed,
-                &mut scratch,
+                sc,
             );
-            assert_eq!(a, b, "nearest_in_cells, query {i}");
+            assert_eq!(a, b, "alive-cell probe, query {i}");
 
             k_nearest_into(&g, q, 4, Some(excl), &mut plain, &mut buf_a);
             k_nearest_into_feed(&g, Some(&feed), q, 4, Some(excl), &mut fed, &mut buf_b);
@@ -1227,75 +1262,167 @@ mod tests {
         let mut state = 77u64;
         let mut rnd = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) * 10.0
+            (state >> 33) as f64 / (1u64 << 31) as f64
         };
-        let pts: Vec<(f64, f64)> = (0..260).map(|_| (rnd(), rnd())).collect();
-        let mut g = grid_with(&pts);
-        assert!(g.debug_force_desync(ObjectId(23)));
-        assert!(g.debug_force_desync(ObjectId(200)));
-        let mut feed = CellFeed::new();
-        feed.begin(g.num_cells());
-        for c in 0..g.num_cells() {
-            // Prime most cells; the rest exercise the grid fallback.
-            if c % 5 != 0 {
-                feed.prime(&g, c);
-            }
-        }
-        let mut alive = CellSet::new(g.num_cells());
-        for c in 0..g.num_cells() {
-            if c % 4 != 0 {
-                alive.insert(c);
-            }
-        }
         let mut scratch = CellOrderScratch::default();
-        // Site counts 0..8 cover the cell-granularity case, every
-        // specialized width, and the >MAX_FAST_SITES fallback; orders
-        // 1..=3 hold the order parameter (column arm at 1, scalar replay
-        // above) to the closure form it replaces.
-        for n_sites in 0..8usize {
-            for i in 0..20 {
-                let q = Point::new(rnd(), rnd());
-                let sites: Vec<Point> = (0..n_sites).map(|_| Point::new(rnd(), rnd())).collect();
-                let exclude: Vec<ObjectId> = (0..1 + i % 7)
-                    .map(|j| ObjectId(((i * 31 + j * 17) % 260) as u32))
-                    .collect();
-                for k in 1..=3usize {
-                    for f in [None, Some(&feed)] {
-                        let mut want_ops = OpCounters::new();
-                        let want = nearest_in_cells_with_feed(
-                            &g,
-                            f,
-                            q,
-                            &alive,
-                            |id, pos| {
-                                if exclude.contains(&id) {
-                                    return false;
-                                }
-                                let d_q = pos.dist_sq(q);
-                                sites.iter().filter(|&&s| pos.dist_sq(s) < d_q).count() < k
-                            },
-                            &mut want_ops,
-                            &mut scratch,
-                        );
-                        let mut got_ops = OpCounters::new();
-                        let got = nearest_undominated_in_cells_feed(
-                            &g,
-                            f,
-                            q,
-                            &alive,
-                            &sites,
-                            k,
-                            &exclude,
-                            &mut got_ops,
-                            &mut scratch,
-                        );
-                        let at = format!("sites {n_sites} k {k} query {i} feed {}", f.is_some());
-                        assert_eq!(want, got, "{at}");
-                        assert_eq!(want_ops, got_ops, "op counters diverged: {at}");
+        let mut found = 0;
+        // Square cells, then `cell_w ≠ cell_h` (1 × 0.625).
+        for (w, h) in [(10.0, 10.0), (16.0, 10.0)] {
+            // About one object per cell, so probes routinely run several
+            // rings out and the scan order decides what they count.
+            let mut g = Grid::new(Aabb::from_coords(0.0, 0.0, w, h), 16);
+            for i in 0..260 {
+                g.insert(ObjectId(i), Point::new(rnd() * w, rnd() * h));
+            }
+            assert!(g.debug_force_desync(ObjectId(23)));
+            assert!(g.debug_force_desync(ObjectId(200)));
+            // Feed off, partly primed (the rest exercise the grid
+            // fallback) and fully primed.
+            let mut partly = CellFeed::new();
+            partly.begin(g.num_cells());
+            let mut fully = CellFeed::new();
+            fully.begin(g.num_cells());
+            for c in 0..g.num_cells() {
+                if c % 5 != 0 {
+                    partly.prime(&g, c);
+                }
+                fully.prime(&g, c);
+            }
+            let feeds = [None, Some(&partly), Some(&fully)];
+            let cells = |pick: &dyn Fn(usize, usize) -> bool| {
+                let mut set = CellSet::new(g.num_cells());
+                for c in 0..g.num_cells() {
+                    let (ix, iy) = g.cell_coords(c);
+                    if pick(ix, iy) {
+                        set.insert(c);
+                    }
+                }
+                set
+            };
+            let alive_sets = [
+                cells(&|_, _| false),
+                cells(&|_, _| true),
+                cells(&|ix, iy| (iy * 16 + ix) % 4 != 0),
+                // A clump and one far outlier cell.
+                cells(&|ix, iy| (ix < 3 && iy < 3) || (ix, iy) == (14, 12)),
+                // One-cell-wide slivers reaching the space boundary.
+                cells(&|_, iy| iy == 9),
+                cells(&|ix, _| ix == 0),
+            ];
+            // Site counts 0..=8 cover the cell-granularity case, every
+            // specialized width, and the >MAX_FAST_SITES fallback; orders
+            // 1 and 3 hold the column arm and the scalar replay to the
+            // closure form; exclusions run from none (no fast path) to 7.
+            for n_sites in 0..=8usize {
+                for i in 0..10 {
+                    let q = match i % 5 {
+                        // Exactly on a cell edge (both axes).
+                        0 => Point::new(3.0 * w / 8.0, 5.0 * h / 8.0),
+                        // Outside the space.
+                        1 => Point::new(-0.3 * w * rnd(), h * (0.5 + rnd())),
+                        // In a corner cell.
+                        2 => Point::new(w * (1.0 - 0.1 * rnd()), 0.1 * h * rnd()),
+                        _ => Point::new(rnd() * w, rnd() * h),
+                    };
+                    let sites: Vec<Point> = (0..n_sites)
+                        .map(|_| Point::new(rnd() * w, rnd() * h))
+                        .collect();
+                    let exclude: Vec<ObjectId> = (0..(i + n_sites) % 8)
+                        .map(|j| ObjectId(((i * 31 + j * 17) % 260) as u32))
+                        .collect();
+                    for (a, alive) in alive_sets.iter().enumerate() {
+                        for k in [1usize, 3] {
+                            for (fi, f) in feeds.into_iter().enumerate() {
+                                let mut want_ops = OpCounters::new();
+                                let want = nearest_in_cells_with_feed(
+                                    &g,
+                                    f,
+                                    q,
+                                    alive,
+                                    |id, pos| {
+                                        if exclude.contains(&id) {
+                                            return false;
+                                        }
+                                        let d_q = pos.dist_sq(q);
+                                        sites.iter().filter(|&&s| pos.dist_sq(s) < d_q).count() < k
+                                    },
+                                    &mut want_ops,
+                                );
+                                let mut got_ops = OpCounters::new();
+                                let got = nearest_undominated_in_cells_feed(
+                                    &g,
+                                    f,
+                                    q,
+                                    alive,
+                                    &sites,
+                                    k,
+                                    &exclude,
+                                    &mut got_ops,
+                                    &mut scratch,
+                                );
+                                let at = format!(
+                                    "space {w}x{h} sites {n_sites} k {k} query {i} set {a} feed {fi}"
+                                );
+                                assert_eq!(want, got, "{at}");
+                                assert_eq!(want_ops, got_ops, "op counters diverged: {at}");
+                                found += usize::from(got.is_some());
+                            }
+                        }
                     }
                 }
             }
         }
+        assert!(found > 1000, "most probes must find a neighbour: {found}");
+    }
+
+    #[test]
+    fn frontier_loads_only_the_rings_it_needs() {
+        // 64 × 64 unit cells, every cell alive: the sort this replaced
+        // keyed and ordered all 4,096 cells on every probe.
+        let mut g = Grid::new(Aabb::from_coords(0.0, 0.0, 64.0, 64.0), 64);
+        let alive = CellSet::full(g.num_cells());
+        let q = Point::new(30.5, 30.5);
+        let mut scratch = CellOrderScratch::default();
+        // Returns the neighbour and how many cells the probe loaded into
+        // the frontier: those it scanned plus those still waiting in it.
+        let probe = |g: &Grid, cells: &CellSet, scratch: &mut CellOrderScratch| {
+            let mut ops = OpCounters::new();
+            let n = nearest_undominated_in_cells_feed(
+                g,
+                None,
+                q,
+                cells,
+                &[],
+                1,
+                &[],
+                &mut ops,
+                scratch,
+            );
+            let loaded = ops.cells_visited as usize + scratch.frontier.len();
+            (n.map(|n| n.id), loaded)
+        };
+        // No object anywhere: every member cell is loaded, exactly once.
+        assert_eq!(probe(&g, &alive, &mut scratch), (None, 4096));
+        let mut sparse = CellSet::new(g.num_cells());
+        for c in [0, 77, 2000, 4095] {
+            sparse.insert(c);
+        }
+        assert_eq!(probe(&g, &sparse, &mut scratch), (None, 4));
+        // A neighbour at distance d: no ring beyond ⌈d / ext⌉ + 2 is
+        // loaded (ext = 1; rings 0..=r hold (2r + 1)² cells here).
+        g.insert(ObjectId(0), Point::new(30.5, 41.2));
+        let rings = (10.7f64.ceil() + 2.0) as usize;
+        let (id, loaded) = probe(&g, &alive, &mut scratch);
+        assert_eq!(id, Some(ObjectId(0)));
+        assert!(loaded <= (2 * rings + 1).pow(2), "loaded {loaded}");
+        // In q's own cell, anywhere: at most rings 0..=3.
+        g.insert(ObjectId(1), Point::new(30.95, 30.05));
+        let (id, loaded) = probe(&g, &alive, &mut scratch);
+        assert_eq!(id, Some(ObjectId(1)));
+        assert!(loaded <= 49, "loaded {loaded}");
+        // Right next to the cell-centred q: rings 0 and 1, nothing else.
+        g.insert(ObjectId(2), Point::new(30.6, 30.4));
+        assert_eq!(probe(&g, &alive, &mut scratch), (Some(ObjectId(2)), 9));
     }
 
     #[test]

@@ -70,11 +70,20 @@ const MOVERS: usize = 300;
 const WARMUP_TICKS: usize = 10;
 const MEASURED_TICKS: usize = 20;
 
-/// A 40×40 lattice of `IgernMono` anchors over uniform filler, with the
-/// movers confined to one corner: most queries skip every tick and the
-/// corner ones evaluate. Returns the allocations of each measured tick
-/// and how many queries evaluated on the last one.
-fn allocations_per_tick(batch: bool) -> (Vec<u64>, usize) {
+/// Whether lattice anchor `i` runs at order 3: the four on the diagonal of
+/// the movers' corner, so the order-k redraw's row buffer and the probe
+/// frontier at `k > 1` sit under the counting allocator too.
+fn is_order_3(i: usize) -> bool {
+    let (ix, iy) = (i % LATTICE, i / LATTICE);
+    ix == iy && ix < 4
+}
+
+/// A 40×40 lattice of `IgernMono` anchors (four corner ones at order 3)
+/// over uniform filler, with the movers confined to one corner: most
+/// queries skip every tick and the corner ones evaluate. Returns the
+/// allocations of each measured tick and how many queries — and how many
+/// order-3 ones — evaluated on the last one.
+fn allocations_per_tick(batch: bool) -> (Vec<u64>, usize, usize) {
     let mut rng = Rng64::seed_from_u64(0x1a26_e5ee);
     let mut pts: Vec<Point> = Vec::with_capacity(OBJECTS);
     let spacing = SIDE / LATTICE as f64;
@@ -104,8 +113,12 @@ fn allocations_per_tick(batch: bool) -> (Vec<u64>, usize) {
     // Bounded histories become rings: pushes stop allocating once full.
     p.set_history_capacity(Some(4));
     for i in 0..QUERIES {
-        p.add_query(ObjectId(i as u32), Algorithm::IgernMono)
-            .unwrap();
+        let algo = if is_order_3(i) {
+            Algorithm::IgernMonoK(3)
+        } else {
+            Algorithm::IgernMono
+        };
+        p.add_query(ObjectId(i as u32), algo).unwrap();
     }
     p.evaluate_all();
 
@@ -134,20 +147,29 @@ fn allocations_per_tick(batch: bool) -> (Vec<u64>, usize) {
         p.step(ups);
         per_tick.push(ALLOCS.with(Cell::get) - before);
     }
-    let evaluated = (0..QUERIES)
-        .filter(|&q| p.history(q).latest().is_some_and(|s| !s.skipped))
-        .count();
-    (per_tick, evaluated)
+    let evaluated = |q: &usize| p.history(*q).latest().is_some_and(|s| !s.skipped);
+    (
+        per_tick,
+        (0..QUERIES).filter(evaluated).count(),
+        (0..QUERIES)
+            .filter(|&q| is_order_3(q))
+            .filter(evaluated)
+            .count(),
+    )
 }
 
 #[test]
 fn steady_state_routed_ticks_do_not_allocate() {
     for batch in [false, true] {
-        let (per_tick, evaluated) = allocations_per_tick(batch);
+        let (per_tick, evaluated, evaluated_k3) = allocations_per_tick(batch);
         assert!(
             evaluated > 0 && evaluated < QUERIES / 10,
             "batch {batch}: {evaluated} of {QUERIES} queries evaluated; the corner \
              geometry should evaluate a few and skip the rest"
+        );
+        assert!(
+            evaluated_k3 > 0,
+            "batch {batch}: no order-3 anchor evaluated on the last tick"
         );
         assert!(
             per_tick.iter().all(|&n| n == 0),
