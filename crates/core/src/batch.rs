@@ -202,11 +202,7 @@ impl BatchEvaluator {
         // watch set; cells it reads beyond the union fall back to direct
         // grid reads inside the kernels.
         let grid = store.all();
-        if self.watch.capacity() == grid.num_cells() {
-            self.watch.clear();
-        } else {
-            self.watch = CellSet::new(grid.num_cells());
-        }
+        self.watch.reset(grid.num_cells());
         for e in &self.plan[g..h] {
             if let Some(w) = lane[e.idx as usize].monitor.monitored_cells() {
                 self.watch.union_with(w);

@@ -17,39 +17,22 @@
 
 use igern_geom::Point;
 use igern_grid::{
-    count_closer_than_feed, nearest_feed, nearest_undominated_in_cells_feed, CellFeed, CellSet,
-    Grid, ObjectId, OpCounters,
+    count_closer_than_feed, nearest_feed, CellFeed, CellSet, Grid, ObjectId, OpCounters,
 };
 
-use crate::prune::{
-    clean_dominated_k_with, kill_cells_beyond_bisector, monitored_capacity, recompute_alive_k_into,
-    PruneGranularity, PruneScratch,
-};
+use crate::prune::{monitored_capacity, PruneGranularity};
+use crate::region::{Region, SearchClass};
 use crate::scratch::EvalScratch;
 
 /// Continuous bichromatic RkNN query state.
 #[derive(Debug, Clone)]
 pub struct BiIgern {
-    /// The query order.
-    k: usize,
-    /// The query's own record id inside the A-grid (excluded from
-    /// blocking tests); `None` for a pure query point.
-    q_id: Option<ObjectId>,
-    /// Query position as of the last evaluation.
-    q: Point,
-    /// The alive cells (shared cell geometry of the A- and B-grids).
-    alive: CellSet,
-    /// `NN_A`: monitored A-objects with the positions their bisectors were
-    /// drawn at.
-    nn_a: Vec<(Point, ObjectId)>,
+    /// Phase I: the alive region and `NN_A`, the monitored A-objects whose
+    /// bisectors bound it (drawn over the A-grid; the twin grids share
+    /// cell geometry).
+    region: Region,
     /// Current verified answer (B-object ids), sorted.
     rnn_b: Vec<ObjectId>,
-    /// Set when the alive region may encode bisectors of A-objects that
-    /// were cleaned out of `NN_A`; forces a redraw next tick (see the
-    /// matching note on the monochromatic monitor).
-    stale: bool,
-    /// Object-level filtering mode (ablation A2).
-    granularity: PruneGranularity,
 }
 
 impl BiIgern {
@@ -102,31 +85,19 @@ impl BiIgern {
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) -> Self {
-        assert!(k >= 1, "k must be positive");
         assert_eq!(
             grid_a.num_cells(),
             grid_b.num_cells(),
             "A- and B-grids must share cell geometry"
         );
         let mut state = BiIgern {
-            k,
-            q_id,
-            q,
-            alive: CellSet::full(grid_b.num_cells()),
-            nn_a: Vec::with_capacity(monitored_capacity(k)),
+            region: Region::new(grid_a, q, q_id, k, granularity),
             rnn_b: Vec::with_capacity(monitored_capacity(k)),
-            stale: false,
-            granularity,
         };
         // Phase I: bounded region from A-object bisectors.
-        state.tighten(
-            grid_a,
-            grid_b,
-            feed_a,
-            ops,
-            SearchClass::Constrained,
-            scratch,
-        );
+        state
+            .region
+            .tighten(grid_a, feed_a, SearchClass::Constrained, ops, scratch);
         // Phase II: verification (at k = 1 it also refines the region and
         // NN_A).
         state.verify(grid_a, grid_b, feed_a, feed_b, ops, scratch);
@@ -155,117 +126,14 @@ impl BiIgern {
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) {
-        // Lines 2–5: redraw when the query or a monitored A-object moved.
-        let q_moved = q != self.q;
-        let mut a_moved = false;
-        self.nn_a
-            .retain_mut(|(pos, id)| match grid_a.position(*id) {
-                Some(p) => {
-                    if p != *pos {
-                        a_moved = true;
-                        *pos = p;
-                    }
-                    true
-                }
-                None => {
-                    a_moved = true;
-                    false
-                }
-            });
-        self.q = q;
-        if q_moved || a_moved || self.stale {
-            self.redraw(grid_b, scratch);
-            self.stale = false;
-        }
-        // Lines 6–9: tighten on new A-objects in the alive cells, then
-        // clean the monitored set.
-        self.tighten(grid_a, grid_b, feed_a, ops, SearchClass::Bounded, scratch);
-        // Cleaning runs unconditionally: movement alone can make one
-        // monitored A-object dominate another (see the monochromatic
-        // monitor for the pie-lemma bound this restores).
-        self.clean(&mut scratch.prune);
+        // Lines 2–9: redraw when the query or a monitored A-object moved,
+        // tighten on new A-objects in the alive cells, clean `NN_A`.
+        self.region.refresh(grid_a, q, scratch);
+        self.region
+            .tighten(grid_a, feed_a, SearchClass::Bounded, ops, scratch);
+        self.region.clean(&mut scratch.prune);
         // Line 10: verify as in Phase II of Algorithm 3.
         self.verify(grid_a, grid_b, feed_a, feed_b, ops, scratch);
-    }
-
-    /// Redraw the order-`k` alive region from the monitored A-objects.
-    fn redraw(&mut self, grid_b: &Grid, scratch: &mut EvalScratch) {
-        let EvalScratch { sites, prune, .. } = scratch;
-        sites.clear();
-        sites.extend(self.nn_a.iter().map(|&(p, _)| p));
-        recompute_alive_k_into(grid_b, self.q, sites, self.k, &mut self.alive, prune);
-    }
-
-    /// Drop monitored A-objects that `k` kept ones dominate; a dropped
-    /// object's bisector may still shape the region, so mark it stale.
-    fn clean(&mut self, prune: &mut PruneScratch) {
-        let grown = self.nn_a.len();
-        clean_dominated_k_with(&mut self.nn_a, self.q, self.k, prune);
-        if self.nn_a.len() < grown {
-            self.stale = true;
-        }
-    }
-
-    /// Phase-I loop (Algorithm 3 lines 3–6): pull A-objects out of the
-    /// alive cells in distance order, monitoring each and killing the
-    /// cells ≥ `k` bisectors exclude, until no unmonitored A-object with
-    /// fewer than `k` monitored dominators remains alive.
-    fn tighten(
-        &mut self,
-        grid_a: &Grid,
-        grid_b: &Grid,
-        feed_a: Option<&CellFeed>,
-        ops: &mut OpCounters,
-        class: SearchClass,
-        scratch: &mut EvalScratch,
-    ) {
-        loop {
-            match class {
-                SearchClass::Constrained => ops.nn_c += 1,
-                SearchClass::Bounded => ops.nn_b += 1,
-            }
-            let q_id = self.q_id;
-            let nn_a = &self.nn_a;
-            let next = if nn_a.is_empty() {
-                // All cells alive: run the degenerate constrained search
-                // as a plain ring search over the A-grid.
-                nearest_feed(grid_a, feed_a, self.q, q_id, ops)
-            } else {
-                // The probe excludes the query record and the monitored
-                // A-objects. Under exact granularity it also skips
-                // A-objects dominated by `k` monitored ones: they cannot
-                // block any point of the exact region; a B-object they do
-                // block is caught during Phase-II verification. Cell
-                // granularity passes no sites.
-                let EvalScratch {
-                    sites,
-                    ids,
-                    cell_order,
-                    ..
-                } = scratch;
-                sites.clear();
-                if let PruneGranularity::Exact = self.granularity {
-                    sites.extend(nn_a.iter().map(|&(p, _)| p));
-                }
-                ids.clear();
-                ids.extend(q_id);
-                ids.extend(nn_a.iter().map(|&(_, id)| id));
-                nearest_undominated_in_cells_feed(
-                    grid_a,
-                    feed_a,
-                    self.q,
-                    &self.alive,
-                    sites,
-                    self.k,
-                    ids,
-                    ops,
-                    cell_order,
-                )
-            };
-            let Some(n) = next else { break };
-            self.nn_a.push((n.pos, n.id));
-            self.redraw(grid_b, scratch);
-        }
     }
 
     /// Phase-II verification (Algorithm 3 lines 7–17): for every B-object
@@ -280,12 +148,13 @@ impl BiIgern {
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) {
+        let (k, q, q_id) = (self.region.k(), self.region.q(), self.region.q_id());
         // Materialize the B-objects currently alive; membership is
         // re-checked per object because at k = 1 the region shrinks as
         // blockers are discovered.
         let bs = &mut scratch.pairs;
         bs.clear();
-        for c in self.alive.iter() {
+        for c in self.region.alive().iter() {
             if let Some(entries) = feed_b.and_then(|f| f.get(c)) {
                 // Feed-primed cell: replay the cached bucket — same order,
                 // same desync counting as the direct scan below.
@@ -309,24 +178,24 @@ impl BiIgern {
                 }
             }
         }
-        let mut rnn_b = std::mem::take(&mut self.rnn_b);
-        rnn_b.clear();
+        self.rnn_b.clear();
         for &(ob, pos) in bs.iter() {
-            if !self.alive.contains(grid_b.cell_of_point(pos)) {
+            if !self.region.alive().contains(grid_b.cell_of_point(pos)) {
                 // Killed by a blocker found earlier in this pass: some
                 // monitored A-object is provably closer to it than q.
                 continue;
             }
-            let d_q = pos.dist_sq(self.q);
-            if self.granularity == PruneGranularity::Exact {
+            let d_q = pos.dist_sq(q);
+            if self.region.granularity() == PruneGranularity::Exact {
                 // Object-level prefilter: a B-object with `k` monitored
                 // A-objects strictly closer than q is provably blocked by
                 // objects already monitored — no search needed.
                 // (Cell-granular alive regions keep whole straddling
                 // cells; without this, every B-object in them pays a full
                 // search per tick.)
-                let closer = self.nn_a.iter().filter(|&&(ap, _)| pos.dist_sq(ap) < d_q);
-                if closer.take(self.k).count() == self.k {
+                let nn_a = self.region.sites();
+                let closer = nn_a.iter().filter(|&&(ap, _)| pos.dist_sq(ap) < d_q);
+                if closer.take(k).count() == k {
                     continue;
                 }
             }
@@ -339,31 +208,24 @@ impl BiIgern {
             // at cap 1. At k > 1 one blocker settles nothing, so blocked
             // B-objects stay alive and are re-counted (capped at k) each
             // tick, which keeps NN_A at the Phase-I ≤ 6k bound.
-            if self.k == 1 {
-                match nearest_feed(grid_a, feed_a, pos, self.q_id, ops) {
+            if k == 1 {
+                match nearest_feed(grid_a, feed_a, pos, q_id, ops) {
                     // No other A-object at all: q is trivially nearest.
-                    None => rnn_b.push(ob),
+                    None => self.rnn_b.push(ob),
                     // Ties favor the query (the blocking condition is strict).
-                    Some(na) if d_q <= na.dist_sq => rnn_b.push(ob),
-                    Some(na) => {
-                        // Blocked: monitor the blocker and shrink the region
-                        // (Algorithm 3 lines 13–15).
-                        if !self.nn_a.iter().any(|&(_, c)| c == na.id) {
-                            self.nn_a.push((na.pos, na.id));
-                            kill_cells_beyond_bisector(grid_b, &mut self.alive, self.q, na.pos);
-                            self.clean(&mut scratch.prune);
-                        }
-                    }
+                    Some(na) if d_q <= na.dist_sq => self.rnn_b.push(ob),
+                    // Blocked: monitor the blocker and shrink the region
+                    // (Algorithm 3 lines 13–15).
+                    Some(na) => self.region.admit(grid_a, na.pos, na.id, &mut scratch.prune),
                 }
             } else {
-                let exclude = self.q_id.as_slice();
-                if count_closer_than_feed(grid_a, feed_a, pos, d_q, self.k, exclude, ops) < self.k {
-                    rnn_b.push(ob);
+                let exclude = q_id.as_slice();
+                if count_closer_than_feed(grid_a, feed_a, pos, d_q, k, exclude, ops) < k {
+                    self.rnn_b.push(ob);
                 }
             }
         }
-        rnn_b.sort_unstable();
-        self.rnn_b = rnn_b;
+        self.rnn_b.sort_unstable();
     }
 
     /// The current verified answer (B-object ids), sorted.
@@ -372,36 +234,24 @@ impl BiIgern {
         &self.rnn_b
     }
 
-    /// The monitored A-objects.
-    pub fn monitored(&self) -> Vec<ObjectId> {
-        self.nn_a.iter().map(|&(_, id)| id).collect()
-    }
-
     /// The monitored A-objects with their last-seen positions, without
     /// allocating.
     #[inline]
     pub fn monitored_pairs(&self) -> &[(Point, ObjectId)] {
-        &self.nn_a
+        self.region.sites()
     }
 
     /// Number of monitored A-objects (the Figure 9b metric).
     #[inline]
     pub fn num_monitored(&self) -> usize {
-        self.nn_a.len()
+        self.region.sites().len()
     }
 
     /// The alive region.
     #[inline]
     pub fn alive_cells(&self) -> &CellSet {
-        &self.alive
+        self.region.alive()
     }
-}
-
-/// Cost class a tighten search is charged to (see §6).
-#[derive(Clone, Copy)]
-enum SearchClass {
-    Constrained,
-    Bounded,
 }
 
 #[cfg(test)]

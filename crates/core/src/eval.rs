@@ -144,11 +144,13 @@ pub fn presample(store: &SpatialStore, slot: &QuerySlot, tick: u64, route: bool)
     Presample::Evaluate(pos)
 }
 
-/// The evaluation suffix of [`evaluate_query`]: run the monitor at `pos`
-/// and refresh the slot's derived results. `feeds` carries the batch
-/// evaluator's shared-scan caches; `Feeds::default()` (no feeds) gives the
-/// plain per-query path, and any feed state yields bit-identical answers
-/// and counters (unprimed cells fall back to direct grid reads).
+/// The evaluation suffix of [`evaluate_query`]: one
+/// [`ContinuousMonitor::evaluate`] at `pos` — the monitor knows whether
+/// that is its initial or its incremental step — then refresh the slot's
+/// derived results. `feeds` carries the batch evaluator's shared-scan
+/// caches; `Feeds::default()` (no feeds) gives the plain per-query path,
+/// and any feed state yields bit-identical answers and counters
+/// (unprimed cells fall back to direct grid reads).
 pub fn evaluate_at(
     store: &SpatialStore,
     slot: &mut QuerySlot,
@@ -159,14 +161,10 @@ pub fn evaluate_at(
 ) -> TickSample {
     let mut ops = OpCounters::new();
     let start = Instant::now();
-    if slot.initialized {
-        slot.monitor
-            .incremental_feed(store, pos, feeds, &mut ops, scratch);
-    } else {
-        slot.monitor
-            .initial_feed(store, pos, feeds, &mut ops, scratch);
-        slot.initialized = true;
-    }
+    slot.monitor.evaluate(store, pos, feeds, &mut ops, scratch);
+    // Only `can_skip` reads this: a monitor that has never evaluated
+    // must not skip a quiet first tick.
+    slot.initialized = true;
     let elapsed = start.elapsed();
     slot.monitor.answer_into(&mut slot.answer);
     slot.monitored = slot.monitor.num_monitored();

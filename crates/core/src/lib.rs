@@ -13,7 +13,10 @@
 //!
 //!   Both take the query order `k` — the reverse k-NN generalization of
 //!   the journal version — and at `k = 1` are the algorithms as
-//!   published.
+//!   published. They are two Phase-II verifiers over one shared Phase I:
+//!   the crate-private `region` module holds the alive region, the sites
+//!   whose bisectors draw it, and the refresh / tighten / clean steps of
+//!   Algorithms 1–4 once, for both colours.
 //! * [`baselines::Crnn`] — the six-pie continuous monochromatic monitor of
 //!   Xia & Zhang (ICDE'06), the state of the art the paper compares to.
 //! * [`baselines::tpl_snapshot`] — the snapshot TPL algorithm of Tao et
@@ -28,9 +31,9 @@
 //! * [`store::SpatialStore`] — the shared grid index over the update
 //!   stream (one grid for monochromatic data, twin grids for the two
 //!   bichromatic types).
-//! * [`monitor`] — the [`ContinuousMonitor`] trait: one interface over
-//!   every evaluation strategy, each publishing the *watch set* of grid
-//!   cells used for dirty-region update routing.
+//! * [`monitor`] — the [`ContinuousMonitor`] trait: one interface — one
+//!   `evaluate` step — over every evaluation strategy, each publishing
+//!   the *watch set* of grid cells used for dirty-region update routing.
 //! * [`processor`] — [`processor::Algorithm`], the evaluation strategies
 //!   a standing query can be registered with.
 //! * [`eval`] — the per-query evaluation step ([`eval::evaluate_query`]):
@@ -48,9 +51,9 @@
 //! * [`obs`] — the observability layer: a dependency-free
 //!   [`obs::MetricsRegistry`] (counters, gauges, histograms) with
 //!   Prometheus-text and JSON exporters, instrumenting every engine.
-//! * [`knn_monitor`] / [`range_monitor`] — companion continuous k-NN and
-//!   range facilities (the other standing-query types of the processors
-//!   the paper situates itself among).
+//! * [`knn_monitor`] — the companion continuous k-NN facility (the other
+//!   standing-query type of the processors the paper situates itself
+//!   among).
 //! * [`render`] — ASCII visualization of regions and occupancy.
 //!
 //! # Example
@@ -95,7 +98,7 @@ pub mod netspace;
 pub mod obs;
 pub mod processor;
 pub mod prune;
-pub mod range_monitor;
+mod region;
 pub mod render;
 pub mod scratch;
 pub mod store;
@@ -111,7 +114,6 @@ pub use monitor::ContinuousMonitor;
 pub use mono::MonoIgern;
 pub use net_monitor::{NetKnnMonitor, NetRknnMonitor};
 pub use netspace::{net_lb, NetPos, NetScratch, NetView, NetworkSpace};
-pub use range_monitor::RangeMonitor;
 pub use scratch::EvalScratch;
 pub use store::SpatialStore;
 pub use types::{DistanceMode, ObjectKind};

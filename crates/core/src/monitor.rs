@@ -56,30 +56,26 @@ use crate::types::DistanceMode;
 
 /// A continuous query evaluation strategy with a routable watch set.
 ///
-/// The processor drives the lifecycle: exactly one [`initial`] call on the
-/// first evaluation, then [`incremental`] every subsequent tick the query
-/// is not skipped. `q` is the query object's current position. `scratch`
-/// is reusable evaluation workspace owned by the execution lane (serial
-/// processor or engine worker); a warm scratch makes the steady-state
-/// tick allocation-free.
+/// The tick loop drives the lifecycle through one call: the first
+/// [`evaluate`] of a monitor is its algorithm's initial step, every later
+/// one — each tick the query is not skipped — its incremental step. The
+/// monitor itself knows which, from whether it holds state yet.
 ///
-/// [`initial`]: ContinuousMonitor::initial
-/// [`incremental`]: ContinuousMonitor::incremental
+/// [`evaluate`]: ContinuousMonitor::evaluate
 pub trait ContinuousMonitor: Send + Sync {
-    /// First evaluation, from scratch.
-    fn initial(
+    /// Evaluate against the current store with the query object at `q`.
+    ///
+    /// `feeds` carries the batch evaluator's shared-scan caches and is
+    /// empty ([`Feeds::default`]) unless the monitor returns a
+    /// [`ContinuousMonitor::batch_class`]; answers and counters must not
+    /// depend on the feed state. `scratch` is reusable evaluation
+    /// workspace owned by the shard; a warm scratch makes the
+    /// steady-state tick allocation-free.
+    fn evaluate(
         &mut self,
         store: &SpatialStore,
         q: Point,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    );
-
-    /// Re-evaluation after one tick of updates.
-    fn incremental(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
+        feeds: Feeds<'_>,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     );
@@ -89,36 +85,6 @@ pub trait ContinuousMonitor: Send + Sync {
     /// cell. `None` (the default) keeps the monitor on the per-query path.
     fn batch_class(&self) -> Option<BatchClass> {
         None
-    }
-
-    /// [`ContinuousMonitor::initial`] with the batch evaluator's
-    /// shared-scan feeds. The default ignores the feeds; monitors that
-    /// return a [`ContinuousMonitor::batch_class`] override this (and must
-    /// stay bit-identical to the feedless form for any feed state).
-    fn initial_feed(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        feeds: Feeds<'_>,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        let _ = feeds;
-        self.initial(store, q, ops, scratch);
-    }
-
-    /// [`ContinuousMonitor::incremental`] with the batch evaluator's
-    /// shared-scan feeds; see [`ContinuousMonitor::initial_feed`].
-    fn incremental_feed(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        feeds: Feeds<'_>,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        let _ = feeds;
-        self.incremental(store, q, ops, scratch);
     }
 
     /// Write the current answer into `out` (cleared first), sorted by id.
@@ -182,15 +148,6 @@ impl Algorithm {
     }
 }
 
-/// Reuse `watch`'s allocation when the capacity already matches.
-fn reset_watch(watch: &mut CellSet, num_cells: usize) {
-    if watch.capacity() == num_cells {
-        watch.clear();
-    } else {
-        *watch = CellSet::new(num_cells);
-    }
-}
-
 /// Add the candidates' cells and `disk(q, 2·max_cand_dist)` to `watch` —
 /// the verification closure shared by the candidate-set monitors. Takes
 /// the (position, id) pairs the evaluators already cache, so no position
@@ -227,78 +184,42 @@ impl MonoIgernMonitor {
             watch: CellSet::new(0),
         }
     }
-
-    fn rebuild_watch(&mut self, store: &SpatialStore, q: Point) {
-        let m = self.inner.as_ref().expect("monitor not initialized");
-        self.watch.clone_from(m.alive_cells());
-        add_candidate_closure(
-            store.all(),
-            q,
-            m.candidate_pairs().iter().copied(),
-            &mut self.watch,
-        );
-    }
 }
 
 impl ContinuousMonitor for MonoIgernMonitor {
-    fn initial(
+    fn evaluate(
         &mut self,
         store: &SpatialStore,
         q: Point,
+        feeds: Feeds<'_>,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) {
-        self.initial_feed(store, q, Feeds::default(), ops, scratch);
-    }
-
-    fn incremental(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.incremental_feed(store, q, Feeds::default(), ops, scratch);
+        let grid = store.all();
+        let m = match &mut self.inner {
+            Some(m) => {
+                m.incremental_in_feed(grid, feeds.all, q, ops, scratch);
+                m
+            }
+            None => self.inner.insert(MonoIgern::initial_in_feed(
+                grid,
+                feeds.all,
+                q,
+                self.q_id,
+                self.k,
+                PruneGranularity::default(),
+                ops,
+                scratch,
+            )),
+        };
+        // Alive region ∪ candidates' cells ∪ `disk(q, 2·max_cand_dist)`.
+        self.watch.clone_from(m.alive_cells());
+        let cand = m.candidate_pairs().iter().copied();
+        add_candidate_closure(grid, q, cand, &mut self.watch);
     }
 
     fn batch_class(&self) -> Option<BatchClass> {
         Some(BatchClass::Mono(self.k))
-    }
-
-    fn initial_feed(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        feeds: Feeds<'_>,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.inner = Some(MonoIgern::initial_in_feed(
-            store.all(),
-            feeds.all,
-            q,
-            self.q_id,
-            self.k,
-            PruneGranularity::default(),
-            ops,
-            scratch,
-        ));
-        self.rebuild_watch(store, q);
-    }
-
-    fn incremental_feed(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        feeds: Feeds<'_>,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.inner
-            .as_mut()
-            .expect("initial must run first")
-            .incremental_in_feed(store.all(), feeds.all, q, ops, scratch);
-        self.rebuild_watch(store, q);
     }
 
     fn answer_into(&self, out: &mut Vec<ObjectId>) {
@@ -341,11 +262,38 @@ impl BiIgernMonitor {
             watch: CellSet::new(0),
         }
     }
+}
 
-    /// Alive region ∪ monitored A-objects' cells ∪
-    /// `disk(q, 2·R_alive_corner)`.
-    fn rebuild_watch(&mut self, store: &SpatialStore, q: Point) {
-        let m = self.inner.as_ref().expect("monitor not initialized");
+impl ContinuousMonitor for BiIgernMonitor {
+    fn evaluate(
+        &mut self,
+        store: &SpatialStore,
+        q: Point,
+        feeds: Feeds<'_>,
+        ops: &mut OpCounters,
+        scratch: &mut EvalScratch,
+    ) {
+        let (grid_a, grid_b) = (store.grid_a(), store.grid_b());
+        let m = match &mut self.inner {
+            Some(m) => {
+                m.incremental_in_feed(grid_a, grid_b, feeds.a, feeds.b, q, ops, scratch);
+                m
+            }
+            None => self.inner.insert(BiIgern::initial_in_feed(
+                grid_a,
+                grid_b,
+                feeds.a,
+                feeds.b,
+                q,
+                self.q_id,
+                self.k,
+                PruneGranularity::default(),
+                ops,
+                scratch,
+            )),
+        };
+        // Alive region ∪ monitored A-objects' cells ∪
+        // `disk(q, 2·R_alive_corner)`.
         let grid = store.all();
         self.watch.clone_from(m.alive_cells());
         let mut r_sq = 0.0f64;
@@ -357,77 +305,9 @@ impl BiIgernMonitor {
             self.watch.insert(grid.cell_of_point(p));
         }
     }
-}
-
-impl ContinuousMonitor for BiIgernMonitor {
-    fn initial(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.initial_feed(store, q, Feeds::default(), ops, scratch);
-    }
-
-    fn incremental(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.incremental_feed(store, q, Feeds::default(), ops, scratch);
-    }
 
     fn batch_class(&self) -> Option<BatchClass> {
         Some(BatchClass::Bi(self.k))
-    }
-
-    fn initial_feed(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        feeds: Feeds<'_>,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.inner = Some(BiIgern::initial_in_feed(
-            store.grid_a(),
-            store.grid_b(),
-            feeds.a,
-            feeds.b,
-            q,
-            self.q_id,
-            self.k,
-            PruneGranularity::default(),
-            ops,
-            scratch,
-        ));
-        self.rebuild_watch(store, q);
-    }
-
-    fn incremental_feed(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        feeds: Feeds<'_>,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.inner
-            .as_mut()
-            .expect("initial must run first")
-            .incremental_in_feed(
-                store.grid_a(),
-                store.grid_b(),
-                feeds.a,
-                feeds.b,
-                q,
-                ops,
-                scratch,
-            );
-        self.rebuild_watch(store, q);
     }
 
     fn answer_into(&self, out: &mut Vec<ObjectId>) {
@@ -474,43 +354,30 @@ impl CrnnMonitor {
             bounded: false,
         }
     }
-
-    fn rebuild_watch(&mut self, store: &SpatialStore, q: Point) {
-        let m = self.inner.as_ref().expect("monitor not initialized");
-        self.bounded = m.num_monitored() == SECTOR_COUNT;
-        if !self.bounded {
-            return;
-        }
-        let grid = store.all();
-        reset_watch(&mut self.watch, grid.num_cells());
-        add_candidate_closure(grid, q, m.candidate_pairs(), &mut self.watch);
-    }
 }
 
 impl ContinuousMonitor for CrnnMonitor {
-    fn initial(
+    fn evaluate(
         &mut self,
         store: &SpatialStore,
         q: Point,
+        _feeds: Feeds<'_>,
         ops: &mut OpCounters,
         _scratch: &mut EvalScratch,
     ) {
-        self.inner = Some(Crnn::initial(store.all(), q, self.q_id, ops));
-        self.rebuild_watch(store, q);
-    }
-
-    fn incremental(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        ops: &mut OpCounters,
-        _scratch: &mut EvalScratch,
-    ) {
-        self.inner
-            .as_mut()
-            .expect("initial must run first")
-            .incremental(store.all(), q, ops);
-        self.rebuild_watch(store, q);
+        let grid = store.all();
+        let m = match &mut self.inner {
+            Some(m) => {
+                m.incremental(grid, q, ops);
+                m
+            }
+            None => self.inner.insert(Crnn::initial(grid, q, self.q_id, ops)),
+        };
+        self.bounded = m.num_monitored() == SECTOR_COUNT;
+        if self.bounded {
+            self.watch.reset(grid.num_cells());
+            add_candidate_closure(grid, q, m.candidate_pairs(), &mut self.watch);
+        }
     }
 
     fn answer_into(&self, out: &mut Vec<ObjectId>) {
@@ -560,44 +427,33 @@ impl KnnQueryMonitor {
             bounded: false,
         }
     }
-
-    fn rebuild_watch(&mut self, store: &SpatialStore, q: Point) {
-        let m = self.inner.as_ref().expect("monitor not initialized");
-        self.bounded = m.answer().len() >= m.k();
-        if !self.bounded {
-            return;
-        }
-        let grid = store.all();
-        reset_watch(&mut self.watch, grid.num_cells());
-        let r_k = m.answer().last().map_or(0.0, |n| n.dist_sq.sqrt());
-        grid.add_cells_in_disk(q, r_k, &mut self.watch);
-    }
 }
 
 impl ContinuousMonitor for KnnQueryMonitor {
-    fn initial(
+    fn evaluate(
         &mut self,
         store: &SpatialStore,
         q: Point,
-        ops: &mut OpCounters,
-        _scratch: &mut EvalScratch,
-    ) {
-        self.inner = Some(KnnMonitor::initial(store.all(), q, self.q_id, self.k, ops));
-        self.rebuild_watch(store, q);
-    }
-
-    fn incremental(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
+        _feeds: Feeds<'_>,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) {
-        self.inner
-            .as_mut()
-            .expect("initial must run first")
-            .incremental_in(store.all(), q, ops, scratch);
-        self.rebuild_watch(store, q);
+        let grid = store.all();
+        let m = match &mut self.inner {
+            Some(m) => {
+                m.incremental_in(grid, q, ops, scratch);
+                m
+            }
+            None => self
+                .inner
+                .insert(KnnMonitor::initial(grid, q, self.q_id, self.k, ops)),
+        };
+        self.bounded = m.answer().len() >= m.k();
+        if self.bounded {
+            self.watch.reset(grid.num_cells());
+            let r_k = m.answer().last().map_or(0.0, |n| n.dist_sq.sqrt());
+            grid.add_cells_in_disk(q, r_k, &mut self.watch);
+        }
     }
 
     fn answer_into(&self, out: &mut Vec<ObjectId>) {
@@ -644,20 +500,11 @@ impl TplRepeatMonitor {
 }
 
 impl ContinuousMonitor for TplRepeatMonitor {
-    fn initial(
+    fn evaluate(
         &mut self,
         store: &SpatialStore,
         q: Point,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.incremental(store, q, ops, scratch);
-    }
-
-    fn incremental(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
+        _feeds: Feeds<'_>,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) {
@@ -701,20 +548,11 @@ impl VoronoiRepeatMonitor {
 }
 
 impl ContinuousMonitor for VoronoiRepeatMonitor {
-    fn initial(
+    fn evaluate(
         &mut self,
         store: &SpatialStore,
         q: Point,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.incremental(store, q, ops, scratch);
-    }
-
-    fn incremental(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
+        _feeds: Feeds<'_>,
         ops: &mut OpCounters,
         _scratch: &mut EvalScratch,
     ) {
@@ -741,46 +579,6 @@ impl ContinuousMonitor for VoronoiRepeatMonitor {
     }
 }
 
-/// Inert monitor: evaluates nothing and answers nothing (a stand-in for
-/// a slot whose evaluator state has been dropped).
-pub struct NullMonitor;
-
-impl ContinuousMonitor for NullMonitor {
-    fn initial(
-        &mut self,
-        _store: &SpatialStore,
-        _q: Point,
-        _ops: &mut OpCounters,
-        _scratch: &mut EvalScratch,
-    ) {
-    }
-
-    fn incremental(
-        &mut self,
-        _store: &SpatialStore,
-        _q: Point,
-        _ops: &mut OpCounters,
-        _scratch: &mut EvalScratch,
-    ) {
-    }
-
-    fn answer_into(&self, out: &mut Vec<ObjectId>) {
-        out.clear();
-    }
-
-    fn monitored_cells(&self) -> Option<&CellSet> {
-        None
-    }
-
-    fn num_monitored(&self) -> usize {
-        0
-    }
-
-    fn region_area(&self, _store: &SpatialStore) -> f64 {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -798,10 +596,10 @@ mod tests {
     #[test]
     fn mono_watch_covers_alive_and_candidate_cells() {
         let store = mono_store(&[(5.0, 5.0), (4.0, 5.0), (6.5, 5.0), (1.0, 1.0)]);
-        let mut ops = OpCounters::new();
+        let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
         let q = Point::new(5.0, 5.0);
         let mut mon = MonoIgernMonitor::new(Some(ObjectId(0)), 1);
-        mon.initial(&store, q, &mut ops, &mut EvalScratch::default());
+        mon.evaluate(&store, q, Feeds::default(), &mut ops, &mut scratch);
         let watch = mon.monitored_cells().expect("mono watch is bounded");
         let inner = mon.inner.as_ref().unwrap();
         for c in inner.alive_cells().iter() {
@@ -817,16 +615,16 @@ mod tests {
     #[test]
     fn knn_watch_is_the_guard_circle_or_everything() {
         let store = mono_store(&[(5.0, 5.0), (4.0, 5.0), (6.0, 5.0), (9.0, 9.0)]);
-        let mut ops = OpCounters::new();
+        let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
         let q = Point::new(5.0, 5.0);
         // Underfull answer (k > population): watch everything.
         let mut big = KnnQueryMonitor::new(Some(ObjectId(0)), 10);
-        big.initial(&store, q, &mut ops, &mut EvalScratch::default());
+        big.evaluate(&store, q, Feeds::default(), &mut ops, &mut scratch);
         assert!(big.monitored_cells().is_none());
         // Full answer: a bounded disk that contains the anchor cell but
         // not the far corner.
         let mut two = KnnQueryMonitor::new(Some(ObjectId(0)), 2);
-        two.initial(&store, q, &mut ops, &mut EvalScratch::default());
+        two.evaluate(&store, q, Feeds::default(), &mut ops, &mut scratch);
         let watch = two.monitored_cells().expect("full answer bounds the watch");
         assert!(watch.contains(store.all().cell_of_point(q)));
         assert!(!watch.contains(store.all().cell_of_point(Point::new(9.9, 9.9))));
@@ -835,14 +633,10 @@ mod tests {
     #[test]
     fn snapshot_monitors_watch_everything() {
         let store = mono_store(&[(5.0, 5.0), (4.0, 5.0)]);
-        let mut ops = OpCounters::new();
+        let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
         let mut tpl = TplRepeatMonitor::new(Some(ObjectId(0)));
-        tpl.initial(
-            &store,
-            Point::new(5.0, 5.0),
-            &mut ops,
-            &mut EvalScratch::default(),
-        );
+        let q = Point::new(5.0, 5.0);
+        tpl.evaluate(&store, q, Feeds::default(), &mut ops, &mut scratch);
         assert!(tpl.monitored_cells().is_none());
         let mut out = Vec::new();
         tpl.answer_into(&mut out);
@@ -853,34 +647,12 @@ mod tests {
     fn crnn_watch_unbounded_while_a_pie_is_empty() {
         // A single neighbor occupies one pie; the other five are empty.
         let store = mono_store(&[(5.0, 5.0), (6.0, 5.0)]);
-        let mut ops = OpCounters::new();
+        let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
         let mut mon = CrnnMonitor::new(Some(ObjectId(0)));
-        mon.initial(
-            &store,
-            Point::new(5.0, 5.0),
-            &mut ops,
-            &mut EvalScratch::default(),
-        );
+        let q = Point::new(5.0, 5.0);
+        mon.evaluate(&store, q, Feeds::default(), &mut ops, &mut scratch);
         assert!(mon.num_monitored() < SECTOR_COUNT);
         assert!(mon.monitored_cells().is_none());
-    }
-
-    #[test]
-    fn null_monitor_is_inert() {
-        let store = mono_store(&[(5.0, 5.0)]);
-        let mut ops = OpCounters::new();
-        let mut null = NullMonitor;
-        null.initial(
-            &store,
-            Point::new(1.0, 1.0),
-            &mut ops,
-            &mut EvalScratch::default(),
-        );
-        let mut out = vec![ObjectId(7)];
-        null.answer_into(&mut out);
-        assert!(out.is_empty());
-        assert!(null.monitored_cells().is_none());
-        assert_eq!(null.num_monitored(), 0);
     }
 
     #[test]

@@ -22,51 +22,27 @@
 //! * **dominance** needs ≥ `k` monitored candidates strictly closer to an
 //!   object than the query;
 //! * a cell of the **alive region** dies only when ≥ `k` bisectors fully
-//!   exclude it (see [`recompute_alive_k_into`]);
+//!   exclude it (see [`crate::prune::recompute_alive_k_into`]);
 //! * **verification** counts blockers up to `k` instead of testing for
 //!   one;
 //! * the candidate bound becomes `6k` (at most `k` greedily-inserted
 //!   candidates survive per 60° pie).
 
 use igern_geom::Point;
-use igern_grid::{
-    count_closer_than_feed, nearest_feed, nearest_undominated_in_cells_feed, CellFeed, CellSet,
-    Grid, ObjectId, OpCounters,
-};
+use igern_grid::{count_closer_than_feed, CellFeed, CellSet, Grid, ObjectId, OpCounters};
 
-use crate::prune::{
-    clean_dominated_k_with, monitored_capacity, recompute_alive_k_into, PruneGranularity,
-};
+use crate::prune::{monitored_capacity, PruneGranularity};
+use crate::region::{Region, SearchClass};
 use crate::scratch::EvalScratch;
 
 /// Continuous monochromatic RkNN query state.
 #[derive(Debug, Clone)]
 pub struct MonoIgern {
-    /// The query order.
-    k: usize,
-    /// The query object's id inside the grid, when the query is itself a
-    /// moving object (excluded from all searches); `None` for a pure
-    /// query point.
-    q_id: Option<ObjectId>,
-    /// Query position as of the last evaluation.
-    q: Point,
-    /// The alive cells (the single monitored bounded region).
-    alive: CellSet,
-    /// `RNNcand`: monitored candidates with the positions their bisectors
-    /// were drawn at.
-    cand: Vec<(Point, ObjectId)>,
+    /// Phase I: the alive region and `RNNcand`, the candidates whose
+    /// bisectors bound it (drawn over the all-objects grid).
+    region: Region,
     /// Current verified answer, sorted by id.
     rnn: Vec<ObjectId>,
-    /// Set when the alive region may encode bisectors of objects that were
-    /// cleaned out of `RNNcand`: such objects are no longer watched for
-    /// movement, so the next tick must redraw unconditionally or a cell
-    /// killed by a departed object's old bisector could hide a new RNN.
-    /// (The paper's Algorithm 2 is silent on this corner; without the
-    /// forced redraw the completeness proof of Theorem 2 does not go
-    /// through after a cleaning step.)
-    stale: bool,
-    /// Object-level filtering mode (ablation A2).
-    granularity: PruneGranularity,
 }
 
 impl MonoIgern {
@@ -107,19 +83,14 @@ impl MonoIgern {
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) -> Self {
-        assert!(k >= 1, "k must be positive");
         let mut state = MonoIgern {
-            k,
-            q_id,
-            q,
-            alive: CellSet::full(grid.num_cells()),
-            cand: Vec::with_capacity(monitored_capacity(k)),
+            region: Region::new(grid, q, q_id, k, granularity),
             rnn: Vec::with_capacity(monitored_capacity(k)),
-            stale: false,
-            granularity,
         };
         // Phase I: bounded region.
-        state.tighten(grid, feed, ops, SearchClass::Constrained, scratch);
+        state
+            .region
+            .tighten(grid, feed, SearchClass::Constrained, ops, scratch);
         // Phase II: verification.
         state.verify(grid, feed, ops);
         state
@@ -143,117 +114,14 @@ impl MonoIgern {
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) {
-        // Scenario checks (lines 2–5): did the query or any candidate move?
-        let q_moved = q != self.q;
-        let mut cand_moved = false;
-        self.cand.retain_mut(|(pos, id)| match grid.position(*id) {
-            Some(p) => {
-                if p != *pos {
-                    cand_moved = true;
-                    *pos = p;
-                }
-                true
-            }
-            None => {
-                // Object disappeared from the index: its bisector is void.
-                cand_moved = true;
-                false
-            }
-        });
-        self.q = q;
-        if q_moved || cand_moved || self.stale {
-            // Redraw all bisectors; only cells between q and the bisectors
-            // stay alive.
-            self.redraw(grid, scratch);
-            self.stale = false;
-        }
-        // Lines 6–9: if objects (re-)entered the alive region, tighten the
-        // region and clean the candidate list. The tighten loop doubles as
-        // the existence check — it is a single bounded search when the
-        // region is quiet.
-        self.tighten(grid, feed, ops, SearchClass::Bounded, scratch);
-        // Cleaning runs unconditionally: movement alone can make one
-        // candidate dominate another, and with exact-granularity greedy
-        // insertion the cleaned set is guaranteed ≤ 6k (at most k
-        // candidates per 60° pie survive, by the classic six-region
-        // lemma the paper's related work builds on).
-        let grown = self.cand.len();
-        clean_dominated_k_with(&mut self.cand, q, self.k, &mut scratch.prune);
-        if self.cand.len() < grown {
-            self.stale = true;
-        }
-        // Lines 10: verification.
+        // Lines 2–9: redraw if the query or a candidate moved, tighten on
+        // objects that (re-)entered the alive region, clean `RNNcand`.
+        self.region.refresh(grid, q, scratch);
+        self.region
+            .tighten(grid, feed, SearchClass::Bounded, ops, scratch);
+        self.region.clean(&mut scratch.prune);
+        // Line 10: verification.
         self.verify(grid, feed, ops);
-    }
-
-    /// Redraw the order-`k` alive region from the current candidates.
-    fn redraw(&mut self, grid: &Grid, scratch: &mut EvalScratch) {
-        let EvalScratch { sites, prune, .. } = scratch;
-        sites.clear();
-        sites.extend(self.cand.iter().map(|&(p, _)| p));
-        recompute_alive_k_into(grid, self.q, sites, self.k, &mut self.alive, prune);
-    }
-
-    /// Phase-I loop (Algorithm 1 lines 3–6): repeatedly take the nearest
-    /// non-candidate object inside the alive cells that fewer than `k`
-    /// candidates dominate, add it to `RNNcand`, and kill the cells ≥ `k`
-    /// bisectors exclude, until the alive region holds no such object.
-    fn tighten(
-        &mut self,
-        grid: &Grid,
-        feed: Option<&CellFeed>,
-        ops: &mut OpCounters,
-        class: SearchClass,
-        scratch: &mut EvalScratch,
-    ) {
-        loop {
-            match class {
-                SearchClass::Constrained => ops.nn_c += 1,
-                SearchClass::Bounded => ops.nn_b += 1,
-            }
-            let q_id = self.q_id;
-            let cand = &self.cand;
-            let next = if cand.is_empty() {
-                // No bisector drawn yet: every cell is alive, so the
-                // constrained search degenerates to an unconstrained one —
-                // run it as a ring search instead of sorting the whole
-                // cell set.
-                nearest_feed(grid, feed, self.q, q_id, ops)
-            } else {
-                // The probe excludes the query object and the candidates,
-                // and under exact granularity also skips objects already
-                // dominated by `k` candidates: they cannot be answers and
-                // need no bisector. Cell granularity passes no sites,
-                // which disables the domination test.
-                let EvalScratch {
-                    sites,
-                    ids,
-                    cell_order,
-                    ..
-                } = scratch;
-                sites.clear();
-                if let PruneGranularity::Exact = self.granularity {
-                    sites.extend(cand.iter().map(|&(p, _)| p));
-                }
-                ids.clear();
-                ids.extend(q_id);
-                ids.extend(cand.iter().map(|&(_, id)| id));
-                nearest_undominated_in_cells_feed(
-                    grid,
-                    feed,
-                    self.q,
-                    &self.alive,
-                    sites,
-                    self.k,
-                    ids,
-                    ops,
-                    cell_order,
-                )
-            };
-            let Some(n) = next else { break };
-            self.cand.push((n.pos, n.id));
-            self.redraw(grid, scratch);
-        }
     }
 
     /// Phase-II verification (Algorithm 1 line 8 / Algorithm 2 line 10):
@@ -261,13 +129,13 @@ impl MonoIgern {
     /// i.e. fewer than `k` other objects lie strictly closer to it than
     /// the query does. Rebuilds `self.rnn` in place.
     fn verify(&mut self, grid: &Grid, feed: Option<&CellFeed>, ops: &mut OpCounters) {
-        let mut rnn = std::mem::take(&mut self.rnn);
-        rnn.clear();
-        for &(pos, id) in &self.cand {
+        let (k, q, q_id) = (self.region.k(), self.region.q(), self.region.q_id());
+        self.rnn.clear();
+        for &(pos, id) in self.region.sites() {
             ops.verifications += 1;
             let pair;
             let single;
-            let exclude: &[ObjectId] = match self.q_id {
+            let exclude: &[ObjectId] = match q_id {
                 Some(qid) => {
                     pair = [id, qid];
                     &pair
@@ -277,13 +145,12 @@ impl MonoIgern {
                     &single
                 }
             };
-            let d_q = pos.dist_sq(self.q);
-            if count_closer_than_feed(grid, feed, pos, d_q, self.k, exclude, ops) < self.k {
-                rnn.push(id);
+            let d_q = pos.dist_sq(q);
+            if count_closer_than_feed(grid, feed, pos, d_q, k, exclude, ops) < k {
+                self.rnn.push(id);
             }
         }
-        rnn.sort_unstable();
-        self.rnn = rnn;
+        self.rnn.sort_unstable();
     }
 
     /// The current verified answer, sorted by id.
@@ -294,14 +161,14 @@ impl MonoIgern {
 
     /// The monitored candidate set `RNNcand`.
     pub fn candidates(&self) -> Vec<ObjectId> {
-        self.cand.iter().map(|&(_, id)| id).collect()
+        self.region.sites().iter().map(|&(_, id)| id).collect()
     }
 
     /// The monitored candidates with their last-seen positions, without
     /// allocating.
     #[inline]
     pub fn candidate_pairs(&self) -> &[(Point, ObjectId)] {
-        &self.cand
+        self.region.sites()
     }
 
     /// Number of monitored objects (the Figure 7b metric; ≈3 on average
@@ -309,13 +176,13 @@ impl MonoIgern {
     /// insertion).
     #[inline]
     pub fn num_monitored(&self) -> usize {
-        self.cand.len()
+        self.region.sites().len()
     }
 
     /// The alive region.
     #[inline]
     pub fn alive_cells(&self) -> &CellSet {
-        &self.alive
+        self.region.alive()
     }
 
     /// Area of the monitored (alive) region — the metric behind the
@@ -323,25 +190,8 @@ impl MonoIgern {
     /// monitored by CRNN" (§3.3).
     pub fn monitored_area(&self, grid: &Grid) -> f64 {
         let cell_area = grid.space().area() / grid.num_cells() as f64;
-        self.alive.count() as f64 * cell_area
+        self.region.alive().count() as f64 * cell_area
     }
-
-    /// Query position as of the last evaluation.
-    #[inline]
-    pub fn query_pos(&self) -> Point {
-        self.q
-    }
-}
-
-/// Which Section-6 cost class a tighten search is charged to.
-#[derive(Clone, Copy)]
-enum SearchClass {
-    /// Initial step: constrained NN over the (initially unbounded) alive
-    /// cells (`NN_c`).
-    Constrained,
-    /// Incremental step: bounded NN over the already-bounded region
-    /// (`NN_b`).
-    Bounded,
 }
 
 #[cfg(test)]

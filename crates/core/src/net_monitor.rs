@@ -28,6 +28,7 @@
 use igern_geom::Point;
 use igern_grid::{CellSet, Grid, ObjectId, OpCounters};
 
+use crate::batch::Feeds;
 use crate::monitor::ContinuousMonitor;
 use crate::netspace::{net_lb, NetPos, NetView, NetworkSpace};
 use crate::scratch::EvalScratch;
@@ -154,11 +155,14 @@ impl NetRknnMonitor {
             candidates: 0,
         }
     }
+}
 
+impl ContinuousMonitor for NetRknnMonitor {
     fn evaluate(
         &mut self,
         store: &SpatialStore,
         q: Point,
+        _feeds: Feeds<'_>,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) {
@@ -189,28 +193,6 @@ impl NetRknnMonitor {
             }
         }
         self.answer.sort_unstable();
-    }
-}
-
-impl ContinuousMonitor for NetRknnMonitor {
-    fn initial(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.evaluate(store, q, ops, scratch);
-    }
-
-    fn incremental(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.evaluate(store, q, ops, scratch);
     }
 
     fn answer_into(&self, out: &mut Vec<ObjectId>) {
@@ -250,11 +232,14 @@ impl NetKnnMonitor {
             answer: Vec::new(),
         }
     }
+}
 
+impl ContinuousMonitor for NetKnnMonitor {
     fn evaluate(
         &mut self,
         store: &SpatialStore,
         q: Point,
+        _feeds: Feeds<'_>,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) {
@@ -334,28 +319,6 @@ impl NetKnnMonitor {
         self.answer.extend(top.iter().map(|&(_, id)| id));
         self.answer.sort_unstable();
         scratch.net.knn = top;
-    }
-}
-
-impl ContinuousMonitor for NetKnnMonitor {
-    fn initial(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.evaluate(store, q, ops, scratch);
-    }
-
-    fn incremental(
-        &mut self,
-        store: &SpatialStore,
-        q: Point,
-        ops: &mut OpCounters,
-        scratch: &mut EvalScratch,
-    ) {
-        self.evaluate(store, q, ops, scratch);
     }
 
     fn answer_into(&self, out: &mut Vec<ObjectId>) {

@@ -11,20 +11,24 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use igern_core::processor::Algorithm;
-use igern_core::{ContinuousMonitor, EvalScratch, ObjectKind, SpatialStore};
+use igern_core::{ContinuousMonitor, EvalScratch, Feeds, ObjectKind, SpatialStore};
 use igern_engine::{Placement, TickRunner};
 use igern_geom::{Aabb, Point};
 use igern_grid::{CellSet, ObjectId, OpCounters};
 
-/// A monitor whose first evaluation panics.
+/// A monitor whose evaluation panics.
 struct PanickingMonitor;
 
 impl ContinuousMonitor for PanickingMonitor {
-    fn initial(&mut self, _: &SpatialStore, _: Point, _: &mut OpCounters, _: &mut EvalScratch) {
+    fn evaluate(
+        &mut self,
+        _: &SpatialStore,
+        _: Point,
+        _: Feeds<'_>,
+        _: &mut OpCounters,
+        _: &mut EvalScratch,
+    ) {
         panic!("monitor failed");
-    }
-
-    fn incremental(&mut self, _: &SpatialStore, _: Point, _: &mut OpCounters, _: &mut EvalScratch) {
     }
 
     fn answer_into(&self, out: &mut Vec<ObjectId>) {

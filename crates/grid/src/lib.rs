@@ -52,8 +52,8 @@ pub use feed::{CellFeed, FeedEntry, FeedScan};
 pub use grid::{CellId, Grid};
 pub use nn::{
     count_closer_than, count_closer_than_feed, exists_closer_than, k_nearest, k_nearest_into,
-    k_nearest_into_feed, nearest, nearest_feed, nearest_in_set, nearest_undominated_in_cells_feed,
-    nearest_where, nearest_where_feed, CellOrderScratch, NearestIter, Neighbor,
+    nearest, nearest_feed, nearest_in_set, nearest_undominated_in_cells_feed, nearest_where,
+    nearest_where_feed, CellOrderScratch, NearestIter, Neighbor,
 };
 pub use object::ObjectId;
 pub use stats::OpCounters;

@@ -580,20 +580,6 @@ pub fn k_nearest_into(
     ops: &mut OpCounters,
     best: &mut Vec<Neighbor>,
 ) {
-    k_nearest_into_feed(grid, None, q, k, exclude, ops, best);
-}
-
-/// [`k_nearest_into`] reading primed cells from a shared-scan
-/// [`CellFeed`].
-pub fn k_nearest_into_feed(
-    grid: &Grid,
-    feed: Option<&CellFeed>,
-    q: Point,
-    k: usize,
-    exclude: Option<ObjectId>,
-    ops: &mut OpCounters,
-    best: &mut Vec<Neighbor>,
-) {
     best.clear();
     if k == 0 {
         return;
@@ -603,23 +589,6 @@ pub fn k_nearest_into_feed(
     let ext = grid.min_cell_extent();
     // Small k: a sorted vector beats a heap.
     best.reserve(k.saturating_add(1).min(grid.len() + 1));
-    // Mirrors the scan below; the exclusion check deliberately runs
-    // before `objects_visited` on both paths.
-    let consider = |id: ObjectId, pos: Point, best: &mut Vec<Neighbor>| {
-        let d = q.dist_sq(pos);
-        if best.len() < k || d < best[best.len() - 1].dist_sq {
-            let at = best.partition_point(|n| n.dist_sq <= d);
-            best.insert(
-                at,
-                Neighbor {
-                    id,
-                    pos,
-                    dist_sq: d,
-                },
-            );
-            best.truncate(k);
-        }
-    };
     for r in 0..=max_r {
         if r >= 1 && best.len() == k {
             let lb = (r as f64 - 1.0) * ext;
@@ -633,20 +602,6 @@ pub fn k_nearest_into_feed(
                 continue;
             }
             ops.cells_visited += 1;
-            if let Some(entries) = feed.and_then(|f| f.get(cell)) {
-                for e in entries {
-                    if Some(e.id) == exclude {
-                        continue;
-                    }
-                    ops.objects_visited += 1;
-                    if !e.live {
-                        ops.desyncs += 1;
-                        continue;
-                    }
-                    consider(e.id, e.pos, best);
-                }
-                continue;
-            }
             for &id in grid.objects_in(cell) {
                 if Some(id) == exclude {
                     continue;
@@ -658,7 +613,19 @@ pub fn k_nearest_into_feed(
                     ops.desyncs += 1;
                     continue;
                 };
-                consider(id, pos, best);
+                let d = q.dist_sq(pos);
+                if best.len() < k || d < best[best.len() - 1].dist_sq {
+                    let at = best.partition_point(|n| n.dist_sq <= d);
+                    best.insert(
+                        at,
+                        Neighbor {
+                            id,
+                            pos,
+                            dist_sq: d,
+                        },
+                    );
+                    best.truncate(k);
+                }
             }
         }
     }
@@ -1202,8 +1169,6 @@ mod tests {
             }
         }
         let mut scratch = CellOrderScratch::default();
-        let mut buf_a = Vec::new();
-        let mut buf_b = Vec::new();
         let mut desyncs_seen = 0;
         for i in 0..25 {
             let q = Point::new((i as f64 * 0.41) % 10.0, (i as f64 * 0.83) % 10.0);
@@ -1239,10 +1204,6 @@ mod tests {
                 sc,
             );
             assert_eq!(a, b, "alive-cell probe, query {i}");
-
-            k_nearest_into(&g, q, 4, Some(excl), &mut plain, &mut buf_a);
-            k_nearest_into_feed(&g, Some(&feed), q, 4, Some(excl), &mut fed, &mut buf_b);
-            assert_eq!(buf_a, buf_b, "k_nearest, query {i}");
 
             let r = 1.5 * 1.5;
             assert_eq!(

@@ -1,45 +1,10 @@
-//! Range queries over the grid (circular and rectangular).
+//! Rectangular range queries over the grid.
 
-use igern_geom::{Circle, Point};
+use igern_geom::Point;
 
 use crate::grid::Grid;
 use crate::object::ObjectId;
 use crate::stats::OpCounters;
-
-/// All objects inside the closed disk, in arbitrary order.
-pub fn objects_in_circle(
-    grid: &Grid,
-    circle: &Circle,
-    ops: &mut OpCounters,
-) -> Vec<(ObjectId, Point)> {
-    let mut out = Vec::new();
-    let bb = circle.bounding_box();
-    let (ix0, iy0) = grid.cell_coords(grid.cell_of_point(bb.min));
-    let (ix1, iy1) = grid.cell_coords(grid.cell_of_point(bb.max));
-    let r_sq = circle.radius * circle.radius;
-    for iy in iy0..=iy1 {
-        for ix in ix0..=ix1 {
-            let cell = grid.cell_at(ix, iy);
-            if grid.cell_bounds(cell).mindist_sq(circle.center) > r_sq {
-                continue;
-            }
-            ops.cells_visited += 1;
-            for &id in grid.objects_in(cell) {
-                ops.objects_visited += 1;
-                let Some(pos) = grid.position(id) else {
-                    // Bucket/position desync: treat the object as
-                    // removed rather than killing the search.
-                    ops.desyncs += 1;
-                    continue;
-                };
-                if circle.center.dist_sq(pos) <= r_sq {
-                    out.push((id, pos));
-                }
-            }
-        }
-    }
-    out
-}
 
 /// All objects inside the closed box, in arbitrary order.
 pub fn objects_in_aabb(
@@ -87,34 +52,6 @@ mod tests {
     }
 
     #[test]
-    fn circle_range_exact() {
-        let g = grid_with(&[(1.0, 1.0), (2.0, 1.0), (5.0, 5.0), (1.5, 1.5)]);
-        let mut ops = OpCounters::new();
-        let hits = objects_in_circle(&g, &Circle::new(Point::new(1.0, 1.0), 1.0), &mut ops);
-        let mut ids: Vec<u32> = hits.iter().map(|(id, _)| id.0).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1, 3]);
-    }
-
-    #[test]
-    fn circle_range_on_boundary_is_closed() {
-        let g = grid_with(&[(3.0, 0.0)]);
-        let mut ops = OpCounters::new();
-        let hits = objects_in_circle(&g, &Circle::new(Point::new(0.0, 0.0), 3.0), &mut ops);
-        assert_eq!(hits.len(), 1);
-    }
-
-    #[test]
-    fn circle_partially_outside_space() {
-        let g = grid_with(&[(0.5, 0.5), (9.5, 9.5)]);
-        let mut ops = OpCounters::new();
-        // Circle centered off-space still finds the near corner object.
-        let hits = objects_in_circle(&g, &Circle::new(Point::new(-1.0, -1.0), 3.0), &mut ops);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0, ObjectId(0));
-    }
-
-    #[test]
     fn aabb_range_exact() {
         let g = grid_with(&[(1.0, 1.0), (4.0, 4.0), (8.0, 2.0)]);
         let mut ops = OpCounters::new();
@@ -128,9 +65,6 @@ mod tests {
     fn empty_ranges() {
         let g = grid_with(&[(5.0, 5.0)]);
         let mut ops = OpCounters::new();
-        assert!(
-            objects_in_circle(&g, &Circle::new(Point::new(1.0, 1.0), 0.5), &mut ops).is_empty()
-        );
         assert!(objects_in_aabb(&g, &Aabb::from_coords(8.0, 8.0, 9.0, 9.0), &mut ops).is_empty());
     }
 }

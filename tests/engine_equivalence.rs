@@ -5,13 +5,10 @@
 //! mid-stream query registration and removal, across all eight
 //! algorithms.
 //!
-//! Set `IGERN_TEST_BATCH=on` to run the whole sweep with shared-scan
-//! batch evaluation enabled on both sides — batching must be
-//! answer-invisible, so every assertion below holds unchanged (the CI
-//! batch leg uses this). Set `IGERN_TEST_DISTANCE=network` to run the
-//! whole sweep under road-network distance: both stores carry the same
-//! synthetic road graph and every query registers in
-//! `DistanceMode::Network` (the CI network leg).
+//! Every sweep runs with shared-scan batch evaluation off and on (on both
+//! sides — batching must be answer-invisible) and under both distance
+//! modes: in `DistanceMode::Network` both stores carry the same synthetic
+//! road graph and every query registers in network mode.
 
 mod common;
 
@@ -30,12 +27,12 @@ const N_B: usize = 36;
 const TICKS: usize = 120;
 
 /// A store with `N_A` kind-A objects followed by `N_B` kind-B objects.
-/// Under the network leg both sides get the same seeded road graph.
-fn loaded_store(seed: u64) -> SpatialStore {
+/// In network mode both sides get the same seeded road graph.
+fn loaded_store(seed: u64, mode: DistanceMode) -> SpatialStore {
     let mut kinds = vec![ObjectKind::A; N_A];
     kinds.extend(vec![ObjectKind::B; N_B]);
     let mut store = SpatialStore::new(Aabb::from_coords(0.0, 0.0, SIDE, SIDE), 16, kinds);
-    if distance_mode() == DistanceMode::Network {
+    if mode == DistanceMode::Network {
         store.set_network(std::sync::Arc::new(NetworkSpace::from_network(
             &build_synthetic_network(&SyntheticNetworkConfig {
                 k: 8,
@@ -61,40 +58,15 @@ const ALGOS: [Algorithm; 8] = [
     Algorithm::Knn(3),
 ];
 
-/// `IGERN_TEST_DISTANCE=network` runs the sweep under road-network
-/// distance on both sides (which must still agree bit-exactly).
-fn distance_mode() -> DistanceMode {
-    match std::env::var("IGERN_TEST_DISTANCE")
-        .as_deref()
-        .map(str::trim)
-    {
-        Ok("network") => DistanceMode::Network,
-        Ok("") | Ok("euclidean") | Err(_) => DistanceMode::Euclidean,
-        Ok(other) => panic!("IGERN_TEST_DISTANCE must be euclidean|network, got {other:?}"),
-    }
-}
-
-/// `IGERN_TEST_BATCH=on` switches both sides to the batched shared-scan
-/// path (which must be bit-identical to per-query).
-fn batch_on() -> bool {
-    matches!(
-        std::env::var("IGERN_TEST_BATCH").as_deref().map(str::trim),
-        Ok("on") | Ok("1")
-    )
-}
-
 /// Drive the one-worker reference and a `workers`-shard runner through
 /// the identical randomized stream — movement, skip routing on, and
 /// mid-stream add/remove of standing queries — asserting lock-step
 /// equality.
-fn run_stream(workers: usize, placement: Placement, seed: u64) {
-    let mode = distance_mode();
-    let mut serial = TickRunner::new(loaded_store(seed), 1, Placement::RoundRobin);
-    let mut engine = TickRunner::new(loaded_store(seed), workers, placement);
-    if batch_on() {
-        serial.set_batch(true);
-        engine.set_batch(true);
-    }
+fn run_stream(workers: usize, placement: Placement, seed: u64, batch: bool, mode: DistanceMode) {
+    let mut serial = TickRunner::new(loaded_store(seed, mode), 1, Placement::RoundRobin);
+    let mut engine = TickRunner::new(loaded_store(seed, mode), workers, placement);
+    serial.set_batch(batch);
+    engine.set_batch(batch);
 
     // Anchors are kind-A objects (required by the bichromatic ones).
     let mut live: Vec<usize> = ALGOS
@@ -154,7 +126,7 @@ fn run_stream(workers: usize, placement: Placement, seed: u64) {
             assert_eq!(
                 serial.answer(q),
                 engine.answer(q),
-                "answer diverged: query {q} tick {tick} workers {workers} {placement}"
+                "answer diverged: query {q} tick {tick} workers {workers} {placement} batch {batch} {mode:?}"
             );
             assert_eq!(serial.monitored(q), engine.monitored(q));
             let ss = serial.history(q).latest().unwrap();
@@ -176,16 +148,25 @@ fn run_stream(workers: usize, placement: Placement, seed: u64) {
     assert!(skipped > 0, "stream never skipped — routing not exercised");
 }
 
+/// [`run_stream`] over batch off/on × both distance modes.
+fn sweep(workers: usize, placement: Placement, seed: u64) {
+    for batch in [false, true] {
+        for mode in [DistanceMode::Euclidean, DistanceMode::Network] {
+            run_stream(workers, placement, seed, batch, mode);
+        }
+    }
+}
+
 #[test]
 fn engine_matches_serial_across_worker_counts() {
     for workers in [1, 2, 4, 8] {
-        run_stream(workers, Placement::RoundRobin, 0x0e17_a2b4);
+        sweep(workers, Placement::RoundRobin, 0x0e17_a2b4);
     }
 }
 
 #[test]
 fn engine_matches_serial_under_anchor_cell_placement() {
     for workers in [2, 4] {
-        run_stream(workers, Placement::AnchorCell, 0x5ca1_ab1e);
+        sweep(workers, Placement::AnchorCell, 0x5ca1_ab1e);
     }
 }

@@ -1,12 +1,13 @@
-//! Integration tests for the auxiliary continuous monitors (k-NN, range)
-//! and the duality invariants connecting them to the RNN monitors.
+//! Integration tests for the auxiliary continuous k-NN monitor, the
+//! duality invariant connecting it to the RNN monitors, and the pinned
+//! digests of the IGERN monitors.
 
 mod common;
 
 use common::Lcg;
 use igern::core::processor::Algorithm;
 use igern::core::types::ObjectKind;
-use igern::core::{KnnMonitor, MonoIgern, RangeMonitor, SpatialStore};
+use igern::core::{KnnMonitor, MonoIgern, SpatialStore};
 use igern::engine::{Placement, TickRunner};
 use igern::geom::{Aabb, Point};
 use igern::grid::{k_nearest, Grid, ObjectId, OpCounters};
@@ -67,53 +68,6 @@ fn rknn_knn_duality_holds_every_tick() {
 }
 
 #[test]
-fn knn_and_range_monitors_agree_with_each_other() {
-    // Consistency: every k-NN answer member within distance r must be in
-    // the range answer, and the range answer restricted to the k nearest
-    // is a prefix of the k-NN answer.
-    let mut world = Workload::from_config(&WorkloadConfig::network_mono(300, 29));
-    let mut g = grid_of(&world, 16);
-    let q_id = ObjectId(5);
-    let r = 60.0;
-    let mut ops = OpCounters::new();
-    let q0 = g.position(q_id).unwrap();
-    let mut knn = KnnMonitor::initial(&g, q0, Some(q_id), 10, &mut ops);
-    let mut range = RangeMonitor::initial(&g, q0, r, Some(q_id), &mut ops);
-    for _ in 0..12 {
-        for u in world.advance().to_vec() {
-            g.update(ObjectId(u.id), u.pos);
-        }
-        let q = g.position(q_id).unwrap();
-        knn.incremental(&g, q, &mut ops);
-        range.incremental(&g, q, &mut ops);
-        let in_range = range.ids();
-        for n in knn.answer() {
-            if n.dist() <= r {
-                assert!(
-                    in_range.contains(&n.id),
-                    "kNN member {} at dist {} missing from range",
-                    n.id,
-                    n.dist()
-                );
-            }
-        }
-        // And every range member closer than the k-th neighbor must be in
-        // the k-NN answer.
-        if let Some(kth) = knn.answer().last() {
-            for &id in &in_range {
-                let d = g.position(id).unwrap().dist_sq(q);
-                if d < kth.dist_sq {
-                    assert!(
-                        knn.answer().iter().any(|n| n.id == id),
-                        "range member {id} closer than the k-th neighbor missing from kNN"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn monitors_survive_population_collapse() {
     // Remove objects until only the query remains; all monitors must
     // degrade to empty answers without panicking.
@@ -123,16 +77,13 @@ fn monitors_survive_population_collapse() {
     let q = g.position(q_id).unwrap();
     let mut ops = OpCounters::new();
     let mut knn = KnnMonitor::initial(&g, q, Some(q_id), 5, &mut ops);
-    let mut range = RangeMonitor::initial(&g, q, 100.0, Some(q_id), &mut ops);
     let mut rknn = MonoIgern::initial(&g, q, Some(q_id), 2, &mut ops);
     for i in 1..50u32 {
         g.remove(ObjectId(i));
         knn.incremental(&g, q, &mut ops);
-        range.incremental(&g, q, &mut ops);
         rknn.incremental(&g, q, &mut ops);
     }
     assert!(knn.answer().is_empty());
-    assert!(range.is_empty());
     assert!(rknn.rnn().is_empty());
 }
 

@@ -8,10 +8,10 @@
 //! subscribe/unsubscribe, object insertion/removal, and a slow-consumer
 //! coalesce event. Malformed input must never take the server down.
 //!
-//! Set `IGERN_TEST_DISTANCE=network` to run the lockstep drives under
-//! road-network distance: both stores carry the same synthetic road
-//! graph and every subscription opens in `DistanceMode::Network` over
-//! the protocol's v2 mode byte (the CI network leg).
+//! The lockstep drives run under both distance modes: in
+//! `DistanceMode::Network` both stores carry the same synthetic road
+//! graph and every subscription opens in network mode over the
+//! protocol's v2 mode byte.
 
 mod common;
 
@@ -50,24 +50,17 @@ fn kinds() -> Vec<ObjectKind> {
         .collect()
 }
 
-/// `IGERN_TEST_DISTANCE=network` switches the lockstep drives to
-/// road-network distance (which must stay transparent over the wire).
-fn distance_mode() -> DistanceMode {
-    match std::env::var("IGERN_TEST_DISTANCE")
-        .as_deref()
-        .map(str::trim)
-    {
-        Ok("network") => DistanceMode::Network,
-        Ok("") | Ok("euclidean") | Err(_) => DistanceMode::Euclidean,
-        Ok(other) => panic!("IGERN_TEST_DISTANCE must be euclidean|network, got {other:?}"),
-    }
-}
+const MODES: [DistanceMode; 2] = [DistanceMode::Euclidean, DistanceMode::Network];
 
 fn seeded_store(seed: u64) -> SpatialStore {
+    seeded_store_in(seed, DistanceMode::Euclidean)
+}
+
+fn seeded_store_in(seed: u64, mode: DistanceMode) -> SpatialStore {
     let mut rng = Lcg::new(seed);
     let pts = rng.points(N, SIDE);
     let mut store = SpatialStore::new(space(), 8, kinds());
-    if distance_mode() == DistanceMode::Network {
+    if mode == DistanceMode::Network {
         store.set_network(std::sync::Arc::new(NetworkSpace::from_network(
             &build_synthetic_network(&SyntheticNetworkConfig {
                 k: 8,
@@ -111,12 +104,12 @@ fn all_algorithms() -> [Algorithm; 8] {
 
 /// Drive a 200-tick workload through the server and an offline runner
 /// in lockstep, comparing every live subscription's answer every tick.
-fn drive_equivalence(workers: usize) {
+fn drive_equivalence(workers: usize, mode: DistanceMode) {
     let seed = 0xC0FF_EE00 ^ workers as u64;
-    let mode = distance_mode();
-    let mut reference = TickRunner::new(seeded_store(seed), workers, Placement::RoundRobin);
-    let mut server = Server::start(("127.0.0.1", 0), seeded_store(seed), manual_config(workers))
-        .expect("bind server");
+    let store = || seeded_store_in(seed, mode);
+    let mut reference = TickRunner::new(store(), workers, Placement::RoundRobin);
+    let mut server =
+        Server::start(("127.0.0.1", 0), store(), manual_config(workers)).expect("bind server");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
     let algos = all_algorithms();
@@ -204,7 +197,7 @@ fn drive_equivalence(workers: usize) {
             assert_eq!(
                 client.answer(sid),
                 ids(reference.answer(qid)),
-                "tick {tick}, sid {sid}, qid {qid}, workers {workers}"
+                "tick {tick}, sid {sid}, qid {qid}, workers {workers}, {mode:?}"
             );
         }
         if let Some(sid) = removed_sid {
@@ -220,12 +213,16 @@ fn drive_equivalence(workers: usize) {
 
 #[test]
 fn serial_server_matches_offline_runner_for_all_algorithms() {
-    drive_equivalence(1);
+    for mode in MODES {
+        drive_equivalence(1, mode);
+    }
 }
 
 #[test]
 fn sharded_server_matches_offline_runner_for_all_algorithms() {
-    drive_equivalence(4);
+    for mode in MODES {
+        drive_equivalence(4, mode);
+    }
 }
 
 /// A client that stops reading long enough to overflow its outbound
@@ -233,9 +230,15 @@ fn sharded_server_matches_offline_runner_for_all_algorithms() {
 /// offline answer from the pushed snapshots.
 #[test]
 fn coalesce_recovers_exact_answers_after_overflow() {
+    for mode in MODES {
+        coalesce_recovers_exact_answers(mode);
+    }
+}
+
+fn coalesce_recovers_exact_answers(mode: DistanceMode) {
     let seed = 0xFEED_F00D;
-    let mode = distance_mode();
-    let mut reference = TickRunner::new(seeded_store(seed), 1, Placement::RoundRobin);
+    let store = || seeded_store_in(seed, mode);
+    let mut reference = TickRunner::new(store(), 1, Placement::RoundRobin);
     // A 2-frame cap is smaller than one tick's batch (two deltas plus
     // TICK_END), so the overflow → shed → forced-snapshot path fires
     // every tick with answer churn, whatever the socket buffers absorb.
@@ -244,7 +247,7 @@ fn coalesce_recovers_exact_answers_after_overflow() {
         slow_consumer: SlowConsumerPolicy::Coalesce,
         ..manual_config(1)
     };
-    let mut server = Server::start(("127.0.0.1", 0), seeded_store(seed), cfg).expect("bind server");
+    let mut server = Server::start(("127.0.0.1", 0), store(), cfg).expect("bind server");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
     let sid_mono = client
