@@ -13,9 +13,16 @@
 //!
 //! # Pruning
 //!
-//! Candidate generation pays one pair of memoized expansions for the
-//! query's edge endpoints; every object's query distance is then O(1).
-//! The per-candidate blocking test sweeps only the Euclidean disk
+//! Candidate generation is the pruned Dijkstra expansion outward from
+//! `q` of [`crate::netspace`] (`NetView::rknn_candidates`): it walks the
+//! per-edge object index and stops along each branch at the first node
+//! that `k` blockers are network-closer to than `q` is, so a dense map
+//! yields a handful of candidates. It declines to prune — falling back
+//! to every live object of the candidate colour — past a pop budget
+//! proportional to the population, or on a disconnected graph. Every
+//! candidate is then verified exactly as before: its query distance
+//! costs one pair of memoized expansions for the query's edge endpoints,
+//! and the per-candidate blocking test sweeps only the Euclidean disk
 //! `disk(o, d_net(q, o))` of the *snapped* grid: any blocker `o'` has
 //! `d_net(o, o') < d_net(q, o)`, and since network distance dominates
 //! straight-line distance between snapped points, `o'` must lie inside
@@ -136,21 +143,19 @@ pub struct NetRknnMonitor {
 impl NetRknnMonitor {
     /// Monochromatic network RkNN anchored at `q_id`.
     pub fn mono(q_id: Option<ObjectId>, k: usize) -> Self {
-        NetRknnMonitor {
-            q_id,
-            k,
-            bi: false,
-            answer: Vec::new(),
-            candidates: 0,
-        }
+        Self::new(q_id, k, false)
     }
 
     /// Bichromatic network RkNN anchored at `q_id`.
     pub fn bi(q_id: Option<ObjectId>, k: usize) -> Self {
+        Self::new(q_id, k, true)
+    }
+
+    fn new(q_id: Option<ObjectId>, k: usize, bi: bool) -> Self {
         NetRknnMonitor {
             q_id,
             k,
-            bi: true,
+            bi,
             answer: Vec::new(),
             candidates: 0,
         }
@@ -171,19 +176,24 @@ impl ContinuousMonitor for NetRknnMonitor {
         let sq = ns.snap(q);
         ops.nn += 1;
         self.answer.clear();
-        self.candidates = 0;
-        for (oid, _) in nv.grid().iter() {
-            if Some(oid) == self.q_id {
-                continue;
-            }
-            if self.bi && store.kind(oid) != ObjectKind::B {
-                continue;
-            }
+        let bi = self.bi;
+        nv.rknn_candidates(
+            &sq,
+            self.q_id,
+            self.k,
+            |id| !bi || store.kind(id) == ObjectKind::B,
+            |id| !bi || store.kind(id) == ObjectKind::A,
+            &mut scratch.net,
+        );
+        // Taken out so the verifier can borrow the scratch; ascending, so
+        // the answer is too.
+        let cands = std::mem::take(&mut scratch.net.cands);
+        self.candidates = cands.len();
+        for &oid in &cands {
             let Some(so) = nv.net_pos(oid) else {
                 ops.desyncs += 1;
                 continue;
             };
-            self.candidates += 1;
             ops.objects_visited += 1;
             let d_oq = ns.dist(&mut scratch.net, &sq, &so);
             if !blocked(
@@ -192,7 +202,7 @@ impl ContinuousMonitor for NetRknnMonitor {
                 self.answer.push(oid);
             }
         }
-        self.answer.sort_unstable();
+        scratch.net.cands = cands;
     }
 
     fn answer_into(&self, out: &mut Vec<ObjectId>) {
@@ -336,5 +346,99 @@ impl ContinuousMonitor for NetKnnMonitor {
 
     fn region_area(&self, _store: &SpatialStore) -> f64 {
         0.0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use igern_mobgen::{build_synthetic_network, SyntheticNetworkConfig};
+
+    use super::*;
+    use crate::netspace::{Expansion, NetScratch, POP_BUDGET_PER_OBJECT};
+
+    /// The benchmark's `roadnet` map (48 × 48 intersections, seed 7) with
+    /// `n` objects at seeded random positions; even ids are kind A.
+    fn roadnet_store(n: usize) -> SpatialStore {
+        let net = build_synthetic_network(&SyntheticNetworkConfig {
+            k: 48,
+            seed: 7,
+            ..Default::default()
+        });
+        let kinds = (0..n)
+            .map(|i| {
+                if i % 2 == 0 {
+                    ObjectKind::A
+                } else {
+                    ObjectKind::B
+                }
+            })
+            .collect();
+        let mut store = SpatialStore::new(*net.space(), 64, kinds);
+        store.set_network(Arc::new(NetworkSpace::from_network(&net)));
+        let mut state = 7u64;
+        let mut rnd = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64 * 1000.0
+        };
+        let positions: Vec<Point> = (0..n).map(|_| Point::new(rnd(), rnd())).collect();
+        store.load(&positions);
+        store
+    }
+
+    /// Evaluate a k = 1 query anchored at `anchor`; returns what it
+    /// monitored and the cost of the expansion it ran.
+    fn evaluate(store: &SpatialStore, anchor: ObjectId, bi: bool) -> (usize, Expansion) {
+        let mut m = if bi {
+            NetRknnMonitor::bi(Some(anchor), 1)
+        } else {
+            NetRknnMonitor::mono(Some(anchor), 1)
+        };
+        let q = store.position(anchor).expect("anchor is live");
+        let mut scratch = EvalScratch::new();
+        let mut ops = OpCounters::new();
+        m.evaluate(store, q, Feeds::default(), &mut ops, &mut scratch);
+        let nv = net_view(store);
+        let ex = nv.rknn_candidates(
+            &nv.space().snap(q),
+            Some(anchor),
+            1,
+            |id| !bi || store.kind(id) == ObjectKind::B,
+            |id| !bi || store.kind(id) == ObjectKind::A,
+            &mut NetScratch::default(),
+        );
+        (m.num_monitored(), ex)
+    }
+
+    #[test]
+    fn dense_maps_prune_to_a_handful_of_candidates() {
+        let store = roadnet_store(5_000);
+        let mut pops = 0;
+        for anchor in (0..5_000).step_by(626).map(ObjectId) {
+            for bi in [false, true] {
+                let (monitored, ex) = evaluate(&store, anchor, bi);
+                assert!(!ex.exhaustive, "{anchor} bi {bi}: fell back ({ex:?})");
+                assert!(monitored <= 64, "{anchor} bi {bi}: {monitored} candidates");
+                assert!(ex.pops <= 256, "{anchor} bi {bi}: {ex:?}");
+                pops += ex.pops;
+            }
+        }
+        // ~8 on average when written; the budget would allow 20,000 each.
+        assert!(pops <= 16 * 32, "{pops} pops over 16 expansions");
+    }
+
+    #[test]
+    fn sparse_maps_fall_back_within_the_budget() {
+        let store = roadnet_store(6);
+        for bi in [false, true] {
+            let (monitored, ex) = evaluate(&store, ObjectId(0), bi);
+            assert!(ex.exhaustive, "bi {bi}: {ex:?}");
+            assert!(ex.pops <= POP_BUDGET_PER_OBJECT * 6, "bi {bi}: {ex:?}");
+            // Every other live object of the candidate colour.
+            assert_eq!(monitored, if bi { 3 } else { 5 });
+        }
     }
 }

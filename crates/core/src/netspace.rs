@@ -26,8 +26,59 @@
 //!
 //! The [`NetView`] is the store-side companion: a grid over the *snapped*
 //! positions (so Euclidean cell bounds are valid lower bounds for graph
-//! distance) plus the per-object [`NetPos`] table, maintained
-//! incrementally by `SpatialStore` whenever a network is attached.
+//! distance), the per-object [`NetPos`] table, and a per-edge object
+//! index (`NetView::objects_on`), maintained incrementally by
+//! `SpatialStore` whenever a network is attached.
+//!
+//! # Pruned candidate expansion
+//!
+//! `NetView::rknn_candidates` generates the candidate set of a network
+//! RkNN query without looking at every object. It runs Dijkstra outward
+//! from `q`'s snapped edge (seeded at both endpoints with their arc
+//! offsets; objects on `q`'s own edge are candidates outright). At each
+//! popped node `n` with distance `D` a bounded *range check* — a second
+//! Dijkstra from `n` of radius `D − slack` — counts live blocker-colour
+//! objects other than `q`'s own, each at the length of whatever path
+//! reached it (an upper bound on its distance), and stops at `k`. With
+//! `k` found, `n` is *pruned*: not expanded. Otherwise the objects on
+//! `n`'s incident edges become candidates and its neighbours are
+//! relaxed.
+//!
+//! This is the eager-pruning lemma of network RkNN (Yiu, Papadias,
+//! Mamoulis, Tao, TKDE 2006): if `k` objects `o'ᵢ` have
+//! `d(n, o'ᵢ) < d(q, n)`, every object `o` whose shortest path from `q`
+//! runs through `n` has `d(o, o'ᵢ) ≤ d(o, n) + d(n, o'ᵢ) < d(o, n) +
+//! d(q, n) = d(q, o)` — it is blocked `k` times over, *unless it is one of
+//! the `o'ᵢ`*, which cannot block itself. So in monochromatic mode the
+//! `k` found objects become candidates too (bichromatic blockers are
+//! A objects and candidates B objects, so there nothing is excluded).
+//! Every answer is therefore a candidate: walk a shortest path from `q`
+//! to it; nodes on it settle at their true distance until the first
+//! pruned one, which blocks the answer — a contradiction — or, if none
+//! is pruned, the last one is expanded and lists the answer's edge.
+//!
+//! **Floating point.** Define `d*` as the same min-over-routes formula as
+//! [`NetworkSpace::dist`] evaluated exactly over the stored (float) edge
+//! lengths and arc offsets; `d*` obeys the triangle inequality through
+//! nodes and the path identity above. Every distance this module
+//! computes — a Dijkstra label, a range-check bound, a `dist` result — is
+//! a float sum of at most `V + 1` nonnegative terms whose exact sum is at
+//! most `3·L` (`L` the total edge length: a simple path plus two
+//! offsets), so it is within `ε = (V + 1)·u·3L` of its `d*` value (`u` the
+//! unit roundoff). Pruning then guarantees `d*(o, o'ᵢ) < d*(q, o) −
+//! (slack − 2ε)`, and the verifier's floats sit within `ε` of those, so
+//! `dist(o, o'ᵢ) < dist(q, o)` holds in floats whenever `slack ≥ 4ε`.
+//! [`NetworkSpace::from_network`] sets `slack = L · max(1e-9, 8·(V + 2)·
+//! f64::EPSILON)`, which is `1e-9·L` up to ~5·10⁵ nodes and `≥ 4ε`
+//! always. The excluded objects are thus blocked by the verifier's own
+//! arithmetic, so answers stay bit-identical to `naive::*_net`.
+//!
+//! **Budget.** Declining to prune is always sound, so the expansion's
+//! heap pops — outer loop and range checks together — are capped at
+//! `POP_BUDGET_PER_OBJECT` × the view's population. Past the cap, and
+//! always on a graph of more than one component (the expansion never
+//! reaches objects outside `q`'s), the candidate set is every live
+//! candidate-colour object: the exhaustive loop, verified identically.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -51,6 +102,13 @@ const LB_SLACK: f64 = 1e-9;
 pub fn net_lb(d_euc: f64) -> f64 {
     d_euc * (1.0 - LB_SLACK)
 }
+
+/// Heap pops one candidate expansion may spend per object in the view
+/// before it gives up and falls back to every object. Chosen by the
+/// sparse sweep in DESIGN §18: dense maps finish far below it, and
+/// larger values rescue a few mid-density expansions but spend more on
+/// the ones that fail anyway.
+pub(crate) const POP_BUDGET_PER_OBJECT: usize = 4;
 
 /// A position projected onto the road network: the nearest edge, the
 /// snapped point on it, and the arc distances to the edge's endpoints.
@@ -93,11 +151,16 @@ pub struct NetworkSpace {
     cell_w: f64,
     cell_h: f64,
     buckets: Vec<Vec<u32>>,
+    /// Absolute margin the candidate expansion prunes by (module docs).
+    slack: f64,
+    /// Whether every node reaches every other.
+    connected: bool,
 }
 
 impl NetworkSpace {
     /// Prepare `net` for evaluation. Edge weights are the segments'
-    /// Euclidean lengths — the invariant behind [`net_lb`].
+    /// Euclidean lengths — the invariant behind [`net_lb`] — and the
+    /// pruning margin and connectivity are fixed here, once.
     ///
     /// # Panics
     /// Panics when the network has no edges (nothing to snap to).
@@ -138,6 +201,8 @@ impl NetworkSpace {
         let side = ((edges.len() as f64).sqrt().ceil() as usize).clamp(1, 128);
         let cell_w = (space.max.x - space.min.x) / side as f64;
         let cell_h = (space.max.y - space.min.y) / side as f64;
+        let total_len: f64 = edges.iter().map(|e| e.len).sum();
+        let rel = 1e-9f64.max(8.0 * (nodes.len() + 2) as f64 * f64::EPSILON);
         let mut ns = NetworkSpace {
             nodes,
             edges,
@@ -148,6 +213,8 @@ impl NetworkSpace {
             cell_w,
             cell_h,
             buckets: vec![Vec::new(); side * side],
+            slack: total_len * rel,
+            connected: net.is_connected(),
         };
         for i in 0..ns.edges.len() {
             let seg = ns.edges[i].seg;
@@ -265,27 +332,16 @@ impl NetworkSpace {
         if scratch.maps[n].is_some() {
             return;
         }
-        let mut d = vec![f64::INFINITY; self.nodes.len()].into_boxed_slice();
-        d[n] = 0.0;
-        scratch.heap.clear();
-        scratch.heap.push(HeapItem {
-            cost: 0.0,
-            node: n as u32,
-        });
-        while let Some(HeapItem { cost, node }) = scratch.heap.pop() {
-            let u = node as usize;
-            if cost > d[u] {
-                continue;
-            }
-            for &(e, v) in self.incident(u) {
-                let nd = cost + self.edges[e as usize].len;
-                if nd < d[v as usize] {
-                    d[v as usize] = nd;
-                    scratch.heap.push(HeapItem { cost: nd, node: v });
-                }
+        let s = &mut scratch.outer;
+        s.reset(self.nodes.len());
+        s.relax(n as u32, 0.0);
+        let mut unbounded = usize::MAX;
+        while let Ok(Some(HeapItem { cost, node })) = s.pop(&mut unbounded) {
+            for &(e, v) in self.incident(node as usize) {
+                s.relax(v, cost + self.edges[e as usize].len);
             }
         }
-        scratch.maps[n] = Some(d);
+        scratch.maps[n] = Some(s.dist[..self.nodes.len()].into());
     }
 
     /// Memoized single-source network distances from node `n` (test and
@@ -357,16 +413,87 @@ impl Ord for HeapItem {
     }
 }
 
+/// One reusable bounded Dijkstra: labels start at `∞`, and only the
+/// nodes a run touched are reset before the next, so a run costs what
+/// it explores, not `V`.
+#[derive(Debug, Default)]
+struct Sssp {
+    dist: Vec<f64>,
+    touched: Vec<u32>,
+    heap: BinaryHeap<HeapItem>,
+}
+
+impl Sssp {
+    fn reset(&mut self, nodes: usize) {
+        if self.dist.len() < nodes {
+            self.dist.resize(nodes, f64::INFINITY);
+        }
+        for &n in &self.touched {
+            self.dist[n as usize] = f64::INFINITY;
+        }
+        self.touched.clear();
+        self.heap.clear();
+    }
+
+    fn relax(&mut self, node: u32, cost: f64) {
+        let d = &mut self.dist[node as usize];
+        if cost < *d {
+            if *d == f64::INFINITY {
+                self.touched.push(node);
+            }
+            *d = cost;
+            self.heap.push(HeapItem { cost, node });
+        }
+    }
+
+    /// The next node to settle, skipping stale heap entries. Every heap
+    /// pop, stale or not, spends one unit of `left`.
+    fn pop(&mut self, left: &mut usize) -> Result<Option<HeapItem>, Spent> {
+        while let Some(item) = self.heap.pop() {
+            *left = left.checked_sub(1).ok_or(Spent)?;
+            if item.cost <= self.dist[item.node as usize] {
+                return Ok(Some(item));
+            }
+        }
+        Ok(None)
+    }
+}
+
+/// The candidate expansion ran out of heap pops.
+#[derive(Debug)]
+struct Spent;
+
 /// Per-lane mutable state for network-distance evaluation: the memoized
 /// single-source Dijkstra maps (keyed by anchor node, never invalidated
-/// — the graph is static) and the reusable expansion heap. Lives inside
-/// `EvalScratch`; a warm scratch makes network ticks allocation-free.
+/// — the graph is static) and the two reusable Dijkstra states plus
+/// buffers of the candidate expansion. Lives inside `EvalScratch`; a
+/// warm scratch makes network ticks allocation-free.
 #[derive(Debug, Default)]
 pub struct NetScratch {
     maps: Vec<Option<Box<[f64]>>>,
-    heap: BinaryHeap<HeapItem>,
     /// Top-k staging for the network kNN monitor.
     pub(crate) knn: Vec<(f64, ObjectId)>,
+    /// The candidate expansion's outward search from `q`; also builds
+    /// each memoized map, unbounded.
+    outer: Sssp,
+    /// Its per-node range checks.
+    inner: Sssp,
+    /// Blockers a range check found (at most `k`).
+    found: Vec<ObjectId>,
+    /// The last expansion's candidates: ascending, deduplicated.
+    pub(crate) cands: Vec<ObjectId>,
+}
+
+/// What one candidate expansion cost and whether it pruned. Only the
+/// work-bound tests read it; evaluation needs just the candidates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) struct Expansion {
+    /// Heap pops spent, outer loop and range checks together.
+    pub pops: usize,
+    /// Whether the candidates are every live candidate-colour object
+    /// (budget spent, or a disconnected graph).
+    pub exhaustive: bool,
 }
 
 impl NetScratch {
@@ -377,24 +504,33 @@ impl NetScratch {
 }
 
 /// The store-side network companion: a grid over *snapped* object
-/// positions (valid substrate for Euclidean lower-bound pruning) plus
-/// the per-object [`NetPos`] table. Maintained by `SpatialStore`
-/// alongside its raw grids whenever a network is attached.
+/// positions (valid substrate for Euclidean lower-bound pruning), the
+/// per-object [`NetPos`] table, and the per-edge object index the
+/// candidate expansion walks. Maintained by `SpatialStore` alongside its
+/// raw grids whenever a network is attached.
 #[derive(Debug, Clone)]
 pub struct NetView {
     space: Arc<NetworkSpace>,
     grid: Grid,
     pos: Vec<Option<NetPos>>,
+    /// `on_edge[e]`: the objects snapped onto edge `e`, in no order.
+    on_edge: Vec<Vec<ObjectId>>,
+    /// `slot[id]`: where `id` sits in its edge's list (meaningful while
+    /// `pos[id]` is `Some`), so unlinking is one swap-remove.
+    slot: Vec<u32>,
 }
 
 impl NetView {
     /// An empty view over `space`, with grid geometry matching the
     /// store's (`n × n` cells over `bounds`).
     pub fn new(space: Arc<NetworkSpace>, bounds: Aabb, n: usize) -> Self {
+        let edges = space.num_edges();
         NetView {
             space,
             grid: Grid::new(bounds, n),
             pos: Vec::new(),
+            on_edge: vec![Vec::new(); edges],
+            slot: Vec::new(),
         }
     }
 
@@ -418,11 +554,43 @@ impl NetView {
         self.pos.get(id.index()).copied().flatten()
     }
 
+    /// The objects snapped onto edge `edge`, in no particular order. A
+    /// desynced object stays listed, as it stays in its grid bucket:
+    /// readers check liveness against [`NetView::grid`].
+    #[inline]
+    pub(crate) fn objects_on(&self, edge: u32) -> &[ObjectId] {
+        &self.on_edge[edge as usize]
+    }
+
+    /// Record `np` as `id`'s position: a move along the same edge touches
+    /// only the table, an edge change is one unlink plus one link.
     fn set_pos(&mut self, id: ObjectId, np: NetPos) {
-        if self.pos.len() <= id.index() {
-            self.pos.resize(id.index() + 1, None);
+        let i = id.index();
+        if self.pos.len() <= i {
+            self.pos.resize(i + 1, None);
+            self.slot.resize(i + 1, 0);
         }
-        self.pos[id.index()] = Some(np);
+        match self.pos[i] {
+            Some(old) if old.edge == np.edge => {}
+            old => {
+                if let Some(old) = old {
+                    self.unlink(id, old.edge);
+                }
+                let list = &mut self.on_edge[np.edge as usize];
+                self.slot[i] = list.len() as u32;
+                list.push(id);
+            }
+        }
+        self.pos[i] = Some(np);
+    }
+
+    fn unlink(&mut self, id: ObjectId, edge: u32) {
+        let at = self.slot[id.index()] as usize;
+        let list = &mut self.on_edge[edge as usize];
+        list.swap_remove(at);
+        if let Some(&moved) = list.get(at) {
+            self.slot[moved.index()] = at as u32;
+        }
     }
 
     /// Mirror a store insert: snap and index the new object.
@@ -442,8 +610,8 @@ impl NetView {
     /// Mirror a store remove.
     pub fn remove(&mut self, id: ObjectId) {
         self.grid.remove(id);
-        if let Some(slot) = self.pos.get_mut(id.index()) {
-            *slot = None;
+        if let Some(old) = self.pos.get_mut(id.index()).and_then(Option::take) {
+            self.unlink(id, old.edge);
         }
     }
 
@@ -453,6 +621,153 @@ impl NetView {
     #[doc(hidden)]
     pub fn debug_force_desync(&mut self, id: ObjectId) -> bool {
         self.grid.debug_force_desync(id)
+    }
+
+    /// The candidate set of a network RkNN query at `sq`, written to
+    /// `scratch.cands` ascending and deduplicated: a superset of the
+    /// answer, by the pruned expansion of the module docs or — budget
+    /// spent, or the graph disconnected — every live object passing
+    /// `candidate`. `blocker` is the colour test of the objects that
+    /// block; `q_id` and desynced objects are neither.
+    pub(crate) fn rknn_candidates(
+        &self,
+        sq: &NetPos,
+        q_id: Option<ObjectId>,
+        k: usize,
+        candidate: impl Fn(ObjectId) -> bool,
+        blocker: impl Fn(ObjectId) -> bool,
+        scratch: &mut NetScratch,
+    ) -> Expansion {
+        let cap = POP_BUDGET_PER_OBJECT * self.grid.len();
+        let mut ex = Expander {
+            view: self,
+            q_id,
+            k,
+            candidate,
+            blocker,
+            left: cap,
+        };
+        scratch.cands.clear();
+        let pruned = self.space.connected && ex.expand(sq, scratch).is_ok();
+        if pruned {
+            scratch.cands.sort_unstable();
+            scratch.cands.dedup();
+        } else {
+            scratch.cands.clear();
+            scratch.cands.extend(
+                self.grid
+                    .iter()
+                    .map(|(id, _)| id)
+                    .filter(|&id| Some(id) != q_id && (ex.candidate)(id)),
+            );
+        }
+        Expansion {
+            pops: cap - ex.left,
+            exhaustive: !pruned,
+        }
+    }
+}
+
+/// One candidate expansion's inputs and remaining pop budget.
+struct Expander<'v, C, B> {
+    view: &'v NetView,
+    q_id: Option<ObjectId>,
+    k: usize,
+    candidate: C,
+    blocker: B,
+    left: usize,
+}
+
+impl<C: Fn(ObjectId) -> bool, B: Fn(ObjectId) -> bool> Expander<'_, C, B> {
+    /// Neither `q`'s own object nor desynced.
+    fn live(&self, id: ObjectId) -> bool {
+        Some(id) != self.q_id && self.view.grid.position(id).is_some()
+    }
+
+    /// Append edge `edge`'s live candidate-colour objects to `cands`.
+    fn collect(&self, edge: u32, cands: &mut Vec<ObjectId>) {
+        cands.extend(
+            self.view
+                .objects_on(edge)
+                .iter()
+                .copied()
+                .filter(|&id| (self.candidate)(id) && self.live(id)),
+        );
+    }
+
+    /// The pruned Dijkstra from `q` (module docs), appending candidates
+    /// to `scratch.cands` with repeats.
+    fn expand(&mut self, sq: &NetPos, scratch: &mut NetScratch) -> Result<(), Spent> {
+        let ns = self.view.space.as_ref();
+        let NetScratch {
+            outer,
+            inner,
+            found,
+            cands,
+            ..
+        } = scratch;
+        outer.reset(ns.num_nodes());
+        let qe = ns.edges[sq.edge as usize];
+        outer.relax(qe.a, sq.d_a);
+        outer.relax(qe.b, sq.d_b);
+        self.collect(sq.edge, cands);
+        while let Some(HeapItem { cost, node }) = outer.pop(&mut self.left)? {
+            if self.range_check(node, cost - ns.slack, inner, found)? {
+                // Pruned; the blockers themselves escape the lemma.
+                cands.extend(found.iter().copied().filter(|&id| (self.candidate)(id)));
+                continue;
+            }
+            for &(e, m) in ns.incident(node as usize) {
+                self.collect(e, cands);
+                outer.relax(m, cost + ns.edges[e as usize].len);
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether `k` live blocker-colour objects lie closer than `radius`
+    /// to node `n` along some path, collecting them in `found`.
+    fn range_check(
+        &mut self,
+        n: u32,
+        radius: f64,
+        inner: &mut Sssp,
+        found: &mut Vec<ObjectId>,
+    ) -> Result<bool, Spent> {
+        found.clear();
+        if self.k == 0 {
+            return Ok(true);
+        }
+        let ns = self.view.space.as_ref();
+        inner.reset(ns.num_nodes());
+        if radius > 0.0 {
+            inner.relax(n, 0.0);
+        }
+        while let Some(HeapItem { cost, node }) = inner.pop(&mut self.left)? {
+            for &(e, m) in ns.incident(node as usize) {
+                let edge = &ns.edges[e as usize];
+                for &id in self.view.objects_on(e) {
+                    let Some(np) = self.view.pos[id.index()] else {
+                        continue;
+                    };
+                    let off = if edge.a == node { np.d_a } else { np.d_b };
+                    if cost + off < radius
+                        && !found.contains(&id)
+                        && (self.blocker)(id)
+                        && self.live(id)
+                    {
+                        found.push(id);
+                        if found.len() == self.k {
+                            return Ok(true);
+                        }
+                    }
+                }
+                if cost + edge.len < radius {
+                    inner.relax(m, cost + edge.len);
+                }
+            }
+        }
+        Ok(false)
     }
 }
 
@@ -605,5 +920,147 @@ mod tests {
         v.remove(ObjectId(3));
         assert_eq!(v.net_pos(ObjectId(3)), None);
         assert!(v.grid().is_empty());
+    }
+
+    fn lcg(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        }
+    }
+
+    #[test]
+    fn edge_index_follows_churn() {
+        let ns = Arc::new(NetworkSpace::from_network(&ladder()));
+        let mut v = NetView::new(Arc::clone(&ns), Aabb::from_coords(0.0, 0.0, 20.0, 10.0), 4);
+        let mut rnd = lcg(3);
+        let mut live = [false; 30];
+        for step in 0..3000 {
+            let id = ObjectId((rnd() * 30.0) as u32);
+            let p = Point::new(rnd() * 20.0, rnd() * 10.0);
+            let was = live[id.index()];
+            live[id.index()] = !was || rnd() < 0.8;
+            match (was, live[id.index()]) {
+                (false, _) => v.insert(id, p),
+                (true, true) => v.apply(id, p),
+                (true, false) => v.remove(id),
+            }
+            if step % 100 == 0 {
+                for e in 0..ns.num_edges() as u32 {
+                    let mut got = v.objects_on(e).to_vec();
+                    got.sort_unstable();
+                    let want: Vec<ObjectId> = (0..30)
+                        .map(ObjectId)
+                        .filter(|&id| v.net_pos(id).map(|p| p.edge) == Some(e))
+                        .collect();
+                    assert_eq!(got, want, "edge {e} at step {step}");
+                }
+            }
+        }
+    }
+
+    /// A seeded synthetic map with `n` objects at random raw positions;
+    /// even ids are the A colour.
+    fn populated(seed: u64, side: usize, n: u32) -> (NetView, Vec<(ObjectId, Point)>) {
+        let net = igern_mobgen::build_synthetic_network(&igern_mobgen::SyntheticNetworkConfig {
+            k: side,
+            seed,
+            ..Default::default()
+        });
+        let ns = Arc::new(NetworkSpace::from_network(&net));
+        let mut v = NetView::new(Arc::clone(&ns), *ns.space(), 8);
+        let mut rnd = lcg(seed ^ 0x5eed);
+        let objs: Vec<(ObjectId, Point)> = (0..n)
+            .map(|i| (ObjectId(i), Point::new(rnd() * 1000.0, rnd() * 1000.0)))
+            .collect();
+        for &(id, p) in &objs {
+            v.insert(id, p);
+        }
+        (v, objs)
+    }
+
+    #[test]
+    fn candidates_cover_the_oracle_answer() {
+        let is_a = |id: ObjectId| id.0.is_multiple_of(2);
+        let mut pruned = 0;
+        for seed in 0..5u64 {
+            let (v, objs) = populated(seed, 5 + seed as usize % 3, 90);
+            let ns = v.space().as_ref();
+            let (a, b): (Vec<_>, Vec<_>) = objs.iter().partition(|&&(id, _)| is_a(id));
+            let (mut s, mut oracle) = (NetScratch::default(), NetScratch::default());
+            for &(q_id, q) in objs.iter().step_by(22) {
+                let sq = ns.snap(q);
+                for k in [1, 2, 4] {
+                    for bi in [false, true] {
+                        let ex = v.rknn_candidates(
+                            &sq,
+                            Some(q_id),
+                            k,
+                            |id| !bi || !is_a(id),
+                            |id| !bi || is_a(id),
+                            &mut s,
+                        );
+                        pruned += usize::from(!ex.exhaustive);
+                        let want = if bi {
+                            crate::naive::bi_rknn_net(ns, &mut oracle, &a, &b, q, Some(q_id), k)
+                        } else {
+                            crate::naive::mono_rknn_net(ns, &mut oracle, &objs, q, Some(q_id), k)
+                        };
+                        for id in want {
+                            assert!(
+                                s.cands.binary_search(&id).is_ok(),
+                                "seed {seed} q {q_id} k {k} bi {bi}: answer {id} not a candidate"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(pruned >= 100, "only {pruned} of 150 expansions pruned");
+    }
+
+    #[test]
+    fn range_check_matches_a_brute_force_count() {
+        let (mut v, objs) = populated(5, 7, 80);
+        assert!(
+            v.debug_force_desync(ObjectId(3)),
+            "a dead object never counts"
+        );
+        let ns = Arc::clone(v.space());
+        let (mut s, mut memo) = (NetScratch::default(), NetScratch::default());
+        let mut rnd = lcg(99);
+        let q_id = Some(ObjectId(0));
+        for _ in 0..300 {
+            let n = ((rnd() * ns.num_nodes() as f64) as u32).min(ns.num_nodes() as u32 - 1);
+            let radius = rnd() * 400.0 - 20.0;
+            let k = 1 + (rnd() * 6.0) as usize;
+            let d = ns.node_dists(&mut memo, n as usize);
+            let brute: Vec<ObjectId> = objs
+                .iter()
+                .map(|&(id, _)| id)
+                .filter(|&id| Some(id) != q_id && v.grid().position(id).is_some())
+                .filter(|&id| {
+                    let p = v.net_pos(id).expect("live");
+                    let e = ns.edges[p.edge as usize];
+                    (d[e.a as usize] + p.d_a).min(d[e.b as usize] + p.d_b) < radius
+                })
+                .collect();
+            let mut ex = Expander {
+                view: &v,
+                q_id,
+                k,
+                candidate: |_| true,
+                blocker: |_| true,
+                left: usize::MAX,
+            };
+            let NetScratch { inner, found, .. } = &mut s;
+            let full = ex.range_check(n, radius, inner, found).expect("unbounded");
+            assert_eq!(full, brute.len() >= k, "node {n} radius {radius} k {k}");
+            assert_eq!(found.len(), brute.len().min(k));
+            assert!(found.iter().all(|id| brute.contains(id)));
+        }
     }
 }

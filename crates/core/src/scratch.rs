@@ -42,10 +42,10 @@ pub struct EvalScratch {
     /// Alive-region staging for snapshot baselines (TPL).
     pub alive: CellSet,
     /// Network-distance state: memoized Dijkstra expansions and the
-    /// expansion heap. Unlike the buffers above, the memo *does* carry
-    /// meaning across calls — the graph is static, so cached expansions
-    /// stay valid for the shard's lifetime (and results never depend on
-    /// which entries happen to be warm).
+    /// candidate expansion's reusable search states. Unlike the buffers
+    /// above, the memo *does* carry meaning across calls — the graph is
+    /// static, so cached expansions stay valid for the shard's lifetime
+    /// (and results never depend on which entries happen to be warm).
     pub net: NetScratch,
 }
 

@@ -3,7 +3,9 @@
 //! `igern_core::naive`, across the whole algorithm family, k ∈ {1, 2, 4},
 //! batch on/off, routed and forced evaluation, and mid-stream population
 //! churn — plus direct admissibility fuzz for the Euclidean lower bound
-//! the monitors prune with.
+//! the monitors prune with, and the cases where the pruned candidate
+//! expansion is most fragile (tied distances, objects on nodes,
+//! populations below k, no blockers, desyncs, two components).
 
 use std::sync::Arc;
 
@@ -14,7 +16,9 @@ use igern_engine::{Placement, TickRunner};
 use igern_geom::{Aabb, Point};
 use igern_grid::ObjectId;
 use igern_mobgen::workload::Mover;
-use igern_mobgen::{build_synthetic_network, NetworkMover, SyntheticNetworkConfig};
+use igern_mobgen::{
+    build_synthetic_network, NetworkMover, RoadClass, RoadNetwork, SyntheticNetworkConfig,
+};
 
 const SPACE: Aabb = Aabb {
     min: Point::new(0.0, 0.0),
@@ -302,4 +306,216 @@ fn network_mode_requires_a_network() {
     if let Err(e) = p.add_query_in(ObjectId(0), Algorithm::IgernMono, DistanceMode::Network) {
         panic!("{e}");
     }
+}
+
+// ---- where the pruned candidate expansion is most fragile ----------------
+
+fn lcg(seed: u64) -> impl FnMut() -> f64 {
+    let mut state = seed;
+    move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as f64 / (1u64 << 31) as f64
+    }
+}
+
+/// Append a `side × side` lattice of intersections 100 apart, origin at
+/// `(x0, 0)`: every edge is exactly 100 long, so distances tie wherever
+/// they can.
+fn lattice(
+    side: usize,
+    x0: f64,
+    nodes: &mut Vec<Point>,
+    segs: &mut Vec<(usize, usize, RoadClass)>,
+) {
+    let base = nodes.len();
+    for j in 0..side {
+        for i in 0..side {
+            nodes.push(Point::new(x0 + 100.0 * i as f64, 100.0 * j as f64));
+            let n = base + j * side + i;
+            if i > 0 {
+                segs.push((n - 1, n, RoadClass::Main));
+            }
+            if j > 0 {
+                segs.push((n - side, n, RoadClass::Main));
+            }
+        }
+    }
+}
+
+fn lattice_net(side: usize) -> RoadNetwork {
+    let (mut nodes, mut segs) = (Vec::new(), Vec::new());
+    lattice(side, 0.0, &mut nodes, &mut segs);
+    RoadNetwork::new(nodes, &segs, SPACE)
+}
+
+/// A quarter mark of a random edge of `net`, the edge's ends included
+/// (so a fifth of the points sit exactly on nodes, `d_a = 0`).
+fn quarter_point(net: &RoadNetwork, rnd: &mut impl FnMut() -> f64) -> Point {
+    let e = net.edge((rnd() * net.num_edges() as f64) as usize % net.num_edges());
+    let f = (rnd() * 5.0).floor().min(4.0) / 4.0;
+    net.node(e.a).lerp(net.node(e.b), f)
+}
+
+/// `ticks` ticks of 20 moves each to fresh quarter points, never moving
+/// an id in `frozen` or beyond `n`.
+fn churn(
+    net: &RoadNetwork,
+    n: usize,
+    frozen: &[ObjectId],
+    ticks: usize,
+    rnd: &mut impl FnMut() -> f64,
+) -> Vec<Vec<(ObjectId, Point)>> {
+    let mut tick = || {
+        let mut ups = Vec::new();
+        for _ in 0..20 {
+            let id = ObjectId((rnd() * n as f64) as u32 % n as u32);
+            let to = quarter_point(net, rnd);
+            if !frozen.contains(&id) {
+                ups.push((id, to));
+            }
+        }
+        ups
+    };
+    (0..ticks).map(|_| tick()).collect()
+}
+
+fn runner_over(ns: &Arc<NetworkSpace>, kinds: Vec<ObjectKind>, positions: &[Point]) -> TickRunner {
+    let mut store = SpatialStore::new(SPACE, 16, kinds);
+    store.load(positions);
+    store.set_network(Arc::clone(ns));
+    TickRunner::new(store, 1, Placement::RoundRobin)
+}
+
+/// Even ids kind A, odd ids kind B.
+fn alternating(n: usize) -> Vec<ObjectKind> {
+    (0..n)
+        .map(|i| {
+            if i % 2 == 0 {
+                ObjectKind::A
+            } else {
+                ObjectKind::B
+            }
+        })
+        .collect()
+}
+
+/// Register both RkNN colours at k ∈ {1, 2, 4, 8} on every anchor, then
+/// hold every answer bit-for-bit to the oracle after the initial
+/// evaluation and after each of `ticks`.
+fn assert_rknn_exact(
+    runner: &mut TickRunner,
+    ns: &NetworkSpace,
+    anchors: &[ObjectId],
+    ticks: &[Vec<(ObjectId, Point)>],
+    what: &str,
+) {
+    let mut handles = Vec::new();
+    for &anchor in anchors {
+        for k in [1, 2, 4, 8] {
+            for algo in [Algorithm::IgernMonoK(k), Algorithm::IgernBiK(k)] {
+                let h = runner
+                    .add_query_in(anchor, algo, DistanceMode::Network)
+                    .unwrap();
+                handles.push((h, anchor, algo));
+            }
+        }
+    }
+    runner.evaluate_all();
+    let mut scratch = NetScratch::default();
+    for tick in 0..=ticks.len() {
+        if tick > 0 {
+            runner.step(&ticks[tick - 1]);
+        }
+        for &(h, anchor, algo) in &handles {
+            let want = expected(ns, &mut scratch, runner.store(), anchor, algo);
+            assert_eq!(
+                runner.answer(h),
+                want.as_slice(),
+                "{what}: tick {tick} {algo:?} at {anchor}"
+            );
+        }
+    }
+}
+
+/// Equal edge lengths everywhere, co-located objects, objects and the
+/// anchor exactly on nodes: the ties a pruning margin must not break.
+#[test]
+fn pruning_is_exact_where_distances_tie() {
+    let net = lattice_net(9);
+    let ns = Arc::new(NetworkSpace::from_network(&net));
+    let mut rnd = lcg(41);
+    let mut positions = vec![net.node(40)];
+    positions.extend((1..120).map(|_| quarter_point(&net, &mut rnd)));
+    let ticks = churn(&net, 120, &[], 5, &mut rnd);
+    let mut runner = runner_over(&ns, alternating(120), &positions);
+    let anchors = [ObjectId(0), ObjectId(2)];
+    assert_rknn_exact(&mut runner, &ns, &anchors, &ticks, "tied lattice");
+}
+
+/// Fewer objects than k: nothing can be blocked k times, range checks
+/// never prune, and the expansion runs into its budget.
+#[test]
+fn populations_below_k_are_exact() {
+    for (net, what) in [(lattice_net(3), "3×3 lattice"), (network(11), "synthetic")] {
+        let ns = Arc::new(NetworkSpace::from_network(&net));
+        let mut rnd = lcg(7);
+        for n in [1, 2, 3, 5] {
+            let positions: Vec<Point> = (0..n).map(|_| quarter_point(&net, &mut rnd)).collect();
+            let ticks = churn(&net, n, &[], 3, &mut rnd);
+            let mut runner = runner_over(&ns, alternating(n), &positions);
+            assert_rknn_exact(&mut runner, &ns, &[ObjectId(0)], &ticks, what);
+        }
+    }
+}
+
+/// Bichromatic with no A object but the anchor: nothing blocks, so every
+/// B object answers.
+#[test]
+fn bichromatic_without_blockers_is_exact() {
+    let net = lattice_net(9);
+    let ns = Arc::new(NetworkSpace::from_network(&net));
+    let mut rnd = lcg(13);
+    let positions: Vec<Point> = (0..60).map(|_| quarter_point(&net, &mut rnd)).collect();
+    let mut kinds = vec![ObjectKind::B; 60];
+    kinds[0] = ObjectKind::A;
+    let ticks = churn(&net, 60, &[], 3, &mut rnd);
+    let mut runner = runner_over(&ns, kinds, &positions);
+    assert_rknn_exact(&mut runner, &ns, &[ObjectId(0)], &ticks, "lone A");
+}
+
+/// A desynced object is still listed on its edge (as in its grid
+/// bucket) but is neither a candidate nor a blocker.
+#[test]
+fn desynced_objects_neither_answer_nor_block() {
+    let net = lattice_net(9);
+    let ns = Arc::new(NetworkSpace::from_network(&net));
+    let mut rnd = lcg(29);
+    let positions: Vec<Point> = (0..120).map(|_| quarter_point(&net, &mut rnd)).collect();
+    let victims = [3, 5, 8, 11, 17, 40, 41].map(ObjectId);
+    let ticks = churn(&net, 120, &victims, 5, &mut rnd);
+    let mut runner = runner_over(&ns, alternating(120), &positions);
+    for &id in &victims {
+        assert!(runner.debug_force_desync(id));
+    }
+    let anchors = [ObjectId(0), ObjectId(2)];
+    assert_rknn_exact(&mut runner, &ns, &anchors, &ticks, "desynced");
+}
+
+/// Two components: objects out of `q`'s reach have an infinite bound,
+/// which only the exhaustive path decides.
+#[test]
+fn two_components_are_exact() {
+    let (mut nodes, mut segs) = (Vec::new(), Vec::new());
+    lattice(4, 0.0, &mut nodes, &mut segs);
+    lattice(4, 600.0, &mut nodes, &mut segs);
+    let net = RoadNetwork::new(nodes, &segs, SPACE);
+    let ns = Arc::new(NetworkSpace::from_network(&net));
+    let mut rnd = lcg(5);
+    let positions: Vec<Point> = (0..60).map(|_| quarter_point(&net, &mut rnd)).collect();
+    let ticks = churn(&net, 60, &[], 4, &mut rnd);
+    let mut runner = runner_over(&ns, alternating(60), &positions);
+    let anchors = [ObjectId(0), ObjectId(2), ObjectId(4)];
+    assert_rknn_exact(&mut runner, &ns, &anchors, &ticks, "two components");
 }

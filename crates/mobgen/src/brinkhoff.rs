@@ -13,17 +13,29 @@ use crate::network::{NodeId, RoadNetwork};
 use crate::route::RoutingTable;
 use crate::workload::{Mover, Update};
 
+/// 40 bytes: node ids are `u32`, and the current edge is looked up once
+/// per hop rather than twice per tick.
 #[derive(Debug, Clone)]
 struct ObjState {
     /// Node most recently departed from.
-    at: NodeId,
+    at: u32,
     /// Node currently headed to (adjacent to `at`), or `at` when parked.
-    to: NodeId,
+    to: u32,
     /// Final destination of the current trip.
-    dest: NodeId,
+    dest: u32,
+    /// The edge from `at` to `to` (meaningless while parked).
+    edge: u32,
     /// Distance already covered on the current edge.
     progress: f64,
     pos: Point,
+}
+
+/// The edge a hop from `at` to `to` travels (`u32::MAX` when parked).
+fn hop_edge(net: &RoadNetwork, at: NodeId, to: NodeId) -> u32 {
+    if at == to {
+        return u32::MAX;
+    }
+    net.edge_id_between(at, to).expect("next hop not adjacent") as u32
 }
 
 /// Objects moving along shortest paths of a road network.
@@ -50,21 +62,25 @@ impl NetworkMover {
             let at = rng.gen_range(0..net.num_nodes());
             let dest = pick_destination(&mut rng, net.num_nodes(), at);
             let to = table.next_hop(at, dest).unwrap_or(at);
+            let edge = hop_edge(&net, at, to);
             // Spawn dispersed along the first edge rather than piled on
             // the node itself: co-located objects are degenerate for RNN
             // queries (nothing can dominate a distance-zero neighbor) and
             // do not occur in steady-state traffic.
             let (progress, pos) = if to != at {
-                let edge = net.edge_between(at, to).expect("next hop not adjacent");
                 let f = rng.gen_range(0.0..1.0);
-                (edge.len * f, net.node(at).lerp(net.node(to), f))
+                (
+                    net.edge(edge as usize).len * f,
+                    net.node(at).lerp(net.node(to), f),
+                )
             } else {
                 (0.0, net.node(at))
             };
             objs.push(ObjState {
-                at,
-                to,
-                dest,
+                at: at as u32,
+                to: to as u32,
+                dest: dest as u32,
+                edge,
                 progress,
                 pos,
             });
@@ -98,9 +114,7 @@ impl NetworkMover {
                 // Parked (degenerate single-node network); stay put.
                 break;
             }
-            let edge = net
-                .edge_between(o.at, o.to)
-                .expect("route uses a non-existent edge");
+            let edge = net.edge(o.edge as usize);
             let speed = edge.class.speed();
             let remaining = edge.len - o.progress;
             let needed = remaining / speed;
@@ -110,18 +124,21 @@ impl NetworkMover {
             }
             // Reach node `to` and continue the trip.
             time_left -= needed;
-            o.at = o.to;
+            let at = o.to as NodeId;
+            let mut dest = o.dest as NodeId;
             o.progress = 0.0;
-            if o.at == o.dest {
-                o.dest = pick_destination(rng, net.num_nodes(), o.at);
+            if at == dest {
+                dest = pick_destination(rng, net.num_nodes(), at);
             }
-            o.to = table.next_hop(o.at, o.dest).unwrap_or(o.at);
+            let to = table.next_hop(at, dest).unwrap_or(at);
+            o.edge = hop_edge(net, at, to);
+            (o.at, o.to, o.dest) = (at as u32, to as u32, dest as u32);
         }
         o.pos = if o.at == o.to {
-            net.node(o.at)
+            net.node(o.at as NodeId)
         } else {
-            let t = o.progress / net.edge_between(o.at, o.to).unwrap().len;
-            net.node(o.at).lerp(net.node(o.to), t)
+            let t = o.progress / net.edge(o.edge as usize).len;
+            net.node(o.at as NodeId).lerp(net.node(o.to as NodeId), t)
         };
         o.pos
     }

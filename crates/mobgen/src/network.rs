@@ -138,10 +138,15 @@ impl RoadNetwork {
     /// The edge connecting `a` and `b`, if any (linear scan of `a`'s
     /// incident list — node degrees are tiny in road networks).
     pub fn edge_between(&self, a: NodeId, b: NodeId) -> Option<&Edge> {
+        self.edge_id_between(a, b).map(|e| &self.edges[e])
+    }
+
+    /// The id of the edge [`RoadNetwork::edge_between`] returns.
+    pub fn edge_id_between(&self, a: NodeId, b: NodeId) -> Option<EdgeId> {
         self.adjacency[a]
             .iter()
-            .map(|&e| &self.edges[e])
-            .find(|e| e.other(a) == b)
+            .copied()
+            .find(|&e| self.edges[e].other(a) == b)
     }
 
     /// Whether the network is connected (BFS from node 0).
