@@ -117,16 +117,7 @@ fn run_mono_with_granularity(args: &ExpArgs, gran: PruneGranularity) -> (Duratio
     let t0 = Instant::now();
     for &q in &queries {
         let pos = store.position(q).unwrap();
-        let m = MonoIgern::initial_in_feed(
-            store.all(),
-            None,
-            pos,
-            Some(q),
-            1,
-            gran,
-            &mut ops,
-            &mut scratch,
-        );
+        let m = MonoIgern::initial(store.all(), pos, Some(q), 1, gran, &mut ops, &mut scratch);
         monitored_sum += m.num_monitored() as u64;
         samples += 1;
         monitors.push(m);
@@ -139,7 +130,7 @@ fn run_mono_with_granularity(args: &ExpArgs, gran: PruneGranularity) -> (Duratio
         let t = Instant::now();
         for (m, &q) in monitors.iter_mut().zip(&queries) {
             let pos = store.position(q).unwrap();
-            m.incremental(store.all(), pos, &mut ops);
+            m.incremental(store.all(), pos, &mut ops, &mut scratch);
             monitored_sum += m.num_monitored() as u64;
             samples += 1;
         }

@@ -21,6 +21,8 @@
 //! Performance claims about the system itself live in `benchmark/`, not
 //! here.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 mod experiments;
 pub mod harness;

@@ -4,6 +4,8 @@
 //! over every figure; without `--quick` the paper-scale parameters are
 //! used. `--only e1,e8` runs a subset.
 
+#![forbid(unsafe_code)]
+
 fn main() {
     if let Err(e) = igern_bench::run(&igern_bench::ExpArgs::parse()) {
         eprintln!("{e}");

@@ -11,13 +11,16 @@
 //! igern render      --trace trace.txt --query 0 --ticks 3
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::io::Write;
 use std::time::Duration;
 
 use igern_core::obs::{jsontext, promtext, MetricsRegistry};
 use igern_core::processor::Algorithm;
+use igern_core::prune::PruneGranularity;
 use igern_core::types::{DistanceMode, ObjectKind};
-use igern_core::{render, NetworkSpace, SpatialStore};
+use igern_core::{render, EvalScratch, MonoIgern, NetworkSpace, SpatialStore};
 use igern_engine::{Placement, TickRunner};
 use igern_geom::{Aabb, Point};
 use igern_grid::{Grid, ObjectId, OpCounters};
@@ -334,11 +337,6 @@ pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         "off" => proc.set_skip_routing(false),
         other => return Err(CliError(format!("bad value for --routing: {other:?}"))),
     }
-    match args.get("batch").unwrap_or("on") {
-        "on" => proc.set_batch(true),
-        "off" => proc.set_batch(false),
-        other => return Err(CliError(format!("bad value for --batch: {other:?}"))),
-    }
     let metrics_out = args.get("metrics-out").map(str::to_string);
     let metrics_every: usize = args.num("metrics-every", 0)?;
     if metrics_every > 0 && metrics_out.is_none() {
@@ -449,17 +447,11 @@ pub fn serve<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     if let Some(ns) = network_space_arg(args, distance, space)? {
         store.set_network(ns);
     }
-    let batch = match args.get("batch").unwrap_or("on") {
-        "on" => true,
-        "off" => false,
-        other => return Err(CliError(format!("bad value for --batch: {other:?}"))),
-    };
     let cfg = ServerConfig {
         space,
         grid,
         workers,
         placement: placement_arg(args)?,
-        batch,
         tick_mode: if tick_ms == 0 {
             TickMode::Manual
         } else {
@@ -801,7 +793,6 @@ pub fn sim_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
                 faults: bool_arg(args, "faults", true)?,
                 server: bool_arg(args, "server", true)?,
                 durable: bool_arg(args, "durable", false)?,
-                batch: bool_arg(args, "batch", false)?,
                 network: distance_arg(args)? == DistanceMode::Network,
                 ..igern_sim::SimConfig::default()
             };
@@ -1083,15 +1074,16 @@ pub fn render_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         g.position(q_id)
             .ok_or_else(|| CliError(format!("query object {q_id} is not indexed by the grid")))
     };
-    let mut ops = OpCounters::new();
-    let mut m = igern_core::MonoIgern::initial(&g, q_pos(&g)?, Some(q_id), 1, &mut ops);
+    let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
+    let (q0, exact) = (q_pos(&g)?, PruneGranularity::Exact);
+    let mut m = MonoIgern::initial(&g, q0, Some(q_id), 1, exact, &mut ops, &mut scratch);
     let mut player = trace.player();
     for t in 0..=ticks {
         if t > 0 {
             for u in player.advance().to_vec() {
                 g.update(ObjectId(u.id), u.pos);
             }
-            m.incremental(&g, q_pos(&g)?, &mut ops);
+            m.incremental(&g, q_pos(&g)?, &mut ops, &mut scratch);
         }
         writeln!(out, "tick {t}: rnn = {:?}", m.rnn())?;
         write!(
@@ -1103,8 +1095,52 @@ pub fn render_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The flags each subcommand reads, space-separated; [`dispatch`]
+/// refuses any other, so a typo or a retired flag fails loudly instead of
+/// being ignored.
+const KNOWN_FLAGS: &[(&str, &str)] = &[
+    ("gen-network", "seed k out"),
+    ("gen-trace", "objects ticks seed bi scenario out"),
+    (
+        "run",
+        "trace algo queries ticks grid k routing workers placement history distance network \
+         net-seed metrics-out metrics-every",
+    ),
+    (
+        "serve",
+        "addr workers tick-ms grid space trace bi slow-consumer queue placement io-threads \
+         metrics-out wal-dir snapshot-every fsync segment-bytes distance network net-seed",
+    ),
+    ("render", "trace query ticks grid"),
+    ("stats", "metrics"),
+    (
+        "sim",
+        "seed ticks objects grid queries workers faults server durable distance shrink \
+         replay-out replay",
+    ),
+    ("wal inspect", "dir"),
+    (
+        "wal drive",
+        "addr objects subs ticks seed space grid hold-ms shutdown",
+    ),
+];
+
 /// Dispatch a subcommand.
 pub fn dispatch<W: Write>(cmd: &str, args: &Args, out: &mut W) -> Result<(), CliError> {
+    if let Some(&(_, known)) = KNOWN_FLAGS.iter().find(|(c, _)| *c == cmd) {
+        let known: Vec<&str> = known.split_whitespace().collect();
+        if let Some((name, _)) = args
+            .pairs
+            .iter()
+            .find(|(n, _)| !known.contains(&n.as_str()))
+        {
+            let known: Vec<String> = known.iter().map(|f| format!("--{f}")).collect();
+            return Err(CliError(format!(
+                "unknown flag --{name} for {cmd} (known: {})",
+                known.join(" ")
+            )));
+        }
+    }
     match cmd {
         "gen-network" => gen_network(args, out),
         "gen-trace" => gen_trace(args, out),
@@ -1136,13 +1172,12 @@ COMMANDS:
                [--scenario taxi-dispatch|geofenced-influence|hotspot-churn]
   run          --trace FILE [--algo igern|crnn|tpl|igern-bi|voronoi|igern-k|igern-bi-k|knn]
                [--queries N] [--ticks N] [--grid N] [--k N] [--routing on|off]
-               [--batch on|off] [--workers N]
-               [--placement round-robin|anchor-cell] [--history N]
+               [--workers N] [--placement round-robin|anchor-cell] [--history N]
                [--distance euclidean|network] [--network FILE] [--net-seed N]
                [--metrics-out FILE] [--metrics-every N]
   serve        [--addr HOST:PORT] [--workers N] [--tick-ms N] [--grid N]
                [--space SIDE] [--trace FILE] [--slow-consumer disconnect|coalesce]
-               [--queue N] [--placement round-robin|anchor-cell] [--batch on|off]
+               [--queue N] [--placement round-robin|anchor-cell]
                [--io-threads N] [--metrics-out FILE]
                [--wal-dir DIR] [--snapshot-every N] [--fsync always|tick|never]
                [--segment-bytes N]
@@ -1151,18 +1186,17 @@ COMMANDS:
   stats        --metrics FILE
   sim          [--seed N] [--ticks N] [--objects N] [--grid N] [--queries N]
                [--workers N] [--faults true|false] [--server true|false]
-               [--durable true|false] [--batch true|false]
+               [--durable true|false]
                [--distance euclidean|network] [--shrink BUDGET]
                [--replay-out FILE] | --replay FILE
   wal inspect  --dir DIR
   wal drive    --addr HOST:PORT [--objects N] [--subs N] [--ticks N] [--seed N]
                [--space SIDE] [--grid N] [--hold-ms N] [--shutdown true|false]
 
+Every command rejects a flag it does not read.
+
 `run --workers N` (default 1 = serial) evaluates queries on N sharded
-worker threads; answers are identical to the serial run. `--batch on`
-(the default for run and serve) groups same-cell, same-algorithm
-queries into one shared grid scan per tick — answers, counters, and
-skip decisions stay bit-identical; `--batch off` evaluates per query.
+worker threads; answers are identical to the serial run.
 `--history N` caps per-query sample retention (summaries still cover
 every tick).
 `run --metrics-out FILE` records pipeline metrics and dumps them to FILE
@@ -1230,6 +1264,24 @@ mod tests {
         assert!(Args::parse(["--dangling".to_string()]).is_err());
         assert!(Args::parse(["positional".to_string()]).is_err());
         assert!(a.num::<usize>("out", 0).is_err());
+    }
+
+    #[test]
+    fn commands_reject_flags_they_do_not_read() {
+        // The retired batch switch of each command, and a typo.
+        for (cmd, flag, value) in [
+            ("run", "batch", "on"),
+            ("serve", "batch", "off"),
+            ("sim", "batch", "true"),
+            ("run", "wokers", "4"),
+        ] {
+            // Refused before the command runs: no trace, socket or sim.
+            let a = args(&[&format!("--{flag}"), value]);
+            let err = dispatch(cmd, &a, &mut Vec::new()).unwrap_err();
+            let want = format!("unknown flag --{flag} for {cmd} (known: ");
+            assert!(err.0.starts_with(&want), "{err}");
+            assert!(err.0.contains(" --workers "), "{err}");
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The `igern` binary — see [`igern_cli::USAGE`].
 
+#![forbid(unsafe_code)]
+
 use igern_cli::{dispatch, Args, USAGE};
 
 fn main() {

@@ -16,9 +16,7 @@
 //! moves, or when a new A-object enters it.
 
 use igern_geom::Point;
-use igern_grid::{
-    count_closer_than_feed, nearest_feed, CellFeed, CellSet, Grid, ObjectId, OpCounters,
-};
+use igern_grid::{count_closer_than, nearest, CellSet, Grid, ObjectId, OpCounters};
 
 use crate::prune::{monitored_capacity, PruneGranularity};
 use crate::region::{Region, SearchClass};
@@ -36,48 +34,16 @@ pub struct BiIgern {
 }
 
 impl BiIgern {
-    /// Algorithm 3 — the initial step.
-    ///
-    /// # Panics
-    /// Panics when `k == 0` or the two grids do not share cell geometry.
-    pub fn initial(
-        grid_a: &Grid,
-        grid_b: &Grid,
-        q: Point,
-        q_id: Option<ObjectId>,
-        k: usize,
-        ops: &mut OpCounters,
-    ) -> Self {
-        let granularity = PruneGranularity::default();
-        let scratch = &mut EvalScratch::default();
-        Self::initial_in_feed(
-            grid_a,
-            grid_b,
-            None,
-            None,
-            q,
-            q_id,
-            k,
-            granularity,
-            ops,
-            scratch,
-        )
-    }
-
-    /// [`BiIgern::initial`] with an explicit pruning granularity (ablation
-    /// A2; see [`PruneGranularity`]), caller-provided evaluation scratch —
-    /// the allocation-free form the hot paths use — and primed A-/B-grid
-    /// cells read from `feed_a`/`feed_b` (the batch evaluator's
-    /// shared-scan caches); bit-identical to the `None`-feed form.
+    /// Algorithm 3 — the initial step, with an explicit pruning granularity
+    /// (ablation A2; see [`PruneGranularity`]) and caller-provided
+    /// evaluation scratch.
     ///
     /// # Panics
     /// Panics when `k == 0` or the two grids do not share cell geometry.
     #[allow(clippy::too_many_arguments)]
-    pub fn initial_in_feed(
+    pub fn initial(
         grid_a: &Grid,
         grid_b: &Grid,
-        feed_a: Option<&CellFeed>,
-        feed_b: Option<&CellFeed>,
         q: Point,
         q_id: Option<ObjectId>,
         k: usize,
@@ -97,31 +63,20 @@ impl BiIgern {
         // Phase I: bounded region from A-object bisectors.
         state
             .region
-            .tighten(grid_a, feed_a, SearchClass::Constrained, ops, scratch);
+            .tighten(grid_a, SearchClass::Constrained, ops, scratch);
         // Phase II: verification (at k = 1 it also refines the region and
         // NN_A).
-        state.verify(grid_a, grid_b, feed_a, feed_b, ops, scratch);
+        state.verify(grid_a, grid_b, ops, scratch);
         state
     }
 
     /// Algorithm 4 — the incremental step, run every Δt with the query's
-    /// current position.
-    pub fn incremental(&mut self, grid_a: &Grid, grid_b: &Grid, q: Point, ops: &mut OpCounters) {
-        let scratch = &mut EvalScratch::default();
-        self.incremental_in_feed(grid_a, grid_b, None, None, q, ops, scratch);
-    }
-
-    /// [`BiIgern::incremental`] with caller-provided evaluation scratch
-    /// (a warm scratch makes the steady-state tick allocation-free),
-    /// reading primed cells from `feed_a`/`feed_b`; see
-    /// [`BiIgern::initial_in_feed`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn incremental_in_feed(
+    /// current position. A warm scratch makes the steady-state tick
+    /// allocation-free.
+    pub fn incremental(
         &mut self,
         grid_a: &Grid,
         grid_b: &Grid,
-        feed_a: Option<&CellFeed>,
-        feed_b: Option<&CellFeed>,
         q: Point,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
@@ -130,10 +85,10 @@ impl BiIgern {
         // tighten on new A-objects in the alive cells, clean `NN_A`.
         self.region.refresh(grid_a, q, scratch);
         self.region
-            .tighten(grid_a, feed_a, SearchClass::Bounded, ops, scratch);
+            .tighten(grid_a, SearchClass::Bounded, ops, scratch);
         self.region.clean(&mut scratch.prune);
         // Line 10: verify as in Phase II of Algorithm 3.
-        self.verify(grid_a, grid_b, feed_a, feed_b, ops, scratch);
+        self.verify(grid_a, grid_b, ops, scratch);
     }
 
     /// Phase-II verification (Algorithm 3 lines 7–17): for every B-object
@@ -143,8 +98,6 @@ impl BiIgern {
         &mut self,
         grid_a: &Grid,
         grid_b: &Grid,
-        feed_a: Option<&CellFeed>,
-        feed_b: Option<&CellFeed>,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) {
@@ -155,18 +108,6 @@ impl BiIgern {
         let bs = &mut scratch.pairs;
         bs.clear();
         for c in self.region.alive().iter() {
-            if let Some(entries) = feed_b.and_then(|f| f.get(c)) {
-                // Feed-primed cell: replay the cached bucket — same order,
-                // same desync counting as the direct scan below.
-                for e in entries {
-                    if e.live {
-                        bs.push((e.id, e.pos));
-                    } else {
-                        ops.desyncs += 1;
-                    }
-                }
-                continue;
-            }
             for &id in grid_b.objects_in(c) {
                 match grid_b.position(id) {
                     Some(pos) => bs.push((id, pos)),
@@ -209,7 +150,7 @@ impl BiIgern {
             // B-objects stay alive and are re-counted (capped at k) each
             // tick, which keeps NN_A at the Phase-I ≤ 6k bound.
             if k == 1 {
-                match nearest_feed(grid_a, feed_a, pos, q_id, ops) {
+                match nearest(grid_a, pos, q_id, ops) {
                     // No other A-object at all: q is trivially nearest.
                     None => self.rnn_b.push(ob),
                     // Ties favor the query (the blocking condition is strict).
@@ -220,7 +161,7 @@ impl BiIgern {
                 }
             } else {
                 let exclude = q_id.as_slice();
-                if count_closer_than_feed(grid_a, feed_a, pos, d_q, k, exclude, ops) < k {
+                if count_closer_than(grid_a, pos, d_q, k, exclude, ops) < k {
                     self.rnn_b.push(ob);
                 }
             }
@@ -260,6 +201,19 @@ mod tests {
     use crate::naive;
     use igern_geom::Aabb;
 
+    /// [`BiIgern::initial`] at exact granularity with a fresh scratch.
+    fn initial(
+        ga: &Grid,
+        gb: &Grid,
+        q: Point,
+        q_id: Option<ObjectId>,
+        k: usize,
+        ops: &mut OpCounters,
+    ) -> BiIgern {
+        let scratch = &mut EvalScratch::default();
+        BiIgern::initial(ga, gb, q, q_id, k, PruneGranularity::Exact, ops, scratch)
+    }
+
     fn grids(a: &[(f64, f64)], b: &[(f64, f64)]) -> (Grid, Grid) {
         let space = Aabb::from_coords(0.0, 0.0, 10.0, 10.0);
         let mut ga = Grid::new(space, 8);
@@ -292,7 +246,7 @@ mod tests {
         let (ga, gb) = grids(&[(8.0, 5.0)], &[(5.5, 5.0), (7.5, 5.0)]);
         let q = Point::new(5.0, 5.0);
         let mut ops = OpCounters::new();
-        let m = BiIgern::initial(&ga, &gb, q, None, 1, &mut ops);
+        let m = initial(&ga, &gb, q, None, 1, &mut ops);
         assert_eq!(m.rnn(), oracle(&ga, &gb, q, None).as_slice());
         assert_eq!(m.rnn(), &[ObjectId(1000)]);
     }
@@ -302,7 +256,7 @@ mod tests {
         let (ga, gb) = grids(&[], &[(1.0, 1.0), (9.0, 9.0), (5.0, 2.0)]);
         let q = Point::new(5.0, 5.0);
         let mut ops = OpCounters::new();
-        let m = BiIgern::initial(&ga, &gb, q, None, 1, &mut ops);
+        let m = initial(&ga, &gb, q, None, 1, &mut ops);
         assert_eq!(m.rnn().len(), 3);
         assert_eq!(m.num_monitored(), 0);
     }
@@ -316,7 +270,7 @@ mod tests {
         let (ga, gb) = grids(&[(9.9, 9.9)], &bs);
         let q = Point::new(4.8, 5.3);
         let mut ops = OpCounters::new();
-        let m = BiIgern::initial(&ga, &gb, q, None, 1, &mut ops);
+        let m = initial(&ga, &gb, q, None, 1, &mut ops);
         assert_eq!(m.rnn(), oracle(&ga, &gb, q, None).as_slice());
         assert!(m.rnn().len() > 6, "got only {} answers", m.rnn().len());
     }
@@ -325,7 +279,7 @@ mod tests {
     fn no_b_objects_means_empty_answer() {
         let (ga, gb) = grids(&[(2.0, 2.0), (8.0, 8.0)], &[]);
         let mut ops = OpCounters::new();
-        let m = BiIgern::initial(&ga, &gb, Point::new(5.0, 5.0), None, 1, &mut ops);
+        let m = initial(&ga, &gb, Point::new(5.0, 5.0), None, 1, &mut ops);
         assert!(m.rnn().is_empty());
     }
 
@@ -342,7 +296,7 @@ mod tests {
             let (ga, gb) = grids(&a, &b);
             let q = Point::new(rnd(), rnd());
             let mut ops = OpCounters::new();
-            let m = BiIgern::initial(&ga, &gb, q, None, 1, &mut ops);
+            let m = initial(&ga, &gb, q, None, 1, &mut ops);
             assert_eq!(
                 m.rnn(),
                 oracle(&ga, &gb, q, None).as_slice(),
@@ -357,7 +311,7 @@ mod tests {
         ga.insert(ObjectId(99), Point::new(5.0, 5.0)); // the query itself
         let q = Point::new(5.0, 5.0);
         let mut ops = OpCounters::new();
-        let m = BiIgern::initial(&ga, &gb, q, Some(ObjectId(99)), 1, &mut ops);
+        let m = initial(&ga, &gb, q, Some(ObjectId(99)), 1, &mut ops);
         assert_eq!(m.rnn(), oracle(&ga, &gb, q, Some(ObjectId(99))).as_slice());
         assert_eq!(m.rnn(), &[ObjectId(1000)]);
     }
@@ -368,15 +322,15 @@ mod tests {
         // new nearest A and drops out.
         let (mut ga, gb) = grids(&[(8.0, 5.0)], &[(5.5, 5.0), (7.0, 5.0)]);
         let q = Point::new(5.0, 5.0);
-        let mut ops = OpCounters::new();
-        let mut m = BiIgern::initial(&ga, &gb, q, None, 1, &mut ops);
+        let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
+        let mut m = initial(&ga, &gb, q, None, 1, &mut ops);
         // Initially both B at 5.5 and 7.0 vs A at 8.0: bisector x=6.5 →
         // only the first is an RNN? 7.0 is closer to 8.0 (1.0) than to q
         // (2.0) → blocked.
         assert_eq!(m.rnn(), &[ObjectId(1000)]);
         // The A-object swings between the query and the answering B.
         ga.update(ObjectId(0), Point::new(5.4, 5.0));
-        m.incremental(&ga, &gb, q, &mut ops);
+        m.incremental(&ga, &gb, q, &mut ops, &mut scratch);
         assert_eq!(m.rnn(), oracle(&ga, &gb, q, None).as_slice());
         assert!(m.rnn().is_empty(), "B at 5.5 is now blocked by A at 5.4");
     }
@@ -392,8 +346,8 @@ mod tests {
         let b: Vec<(f64, f64)> = (0..40).map(|_| (rnd() * 10.0, rnd() * 10.0)).collect();
         let (mut ga, mut gb) = grids(&a, &b);
         let mut q = Point::new(5.0, 5.0);
-        let mut ops = OpCounters::new();
-        let mut m = BiIgern::initial(&ga, &gb, q, None, 1, &mut ops);
+        let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
+        let mut m = initial(&ga, &gb, q, None, 1, &mut ops);
         for tick in 0..40 {
             for i in 0..25u32 {
                 if rnd() < 0.3 {
@@ -424,7 +378,7 @@ mod tests {
                 (q.x + (rnd() - 0.5)).clamp(0.0, 10.0),
                 (q.y + (rnd() - 0.5)).clamp(0.0, 10.0),
             );
-            m.incremental(&ga, &gb, q, &mut ops);
+            m.incremental(&ga, &gb, q, &mut ops, &mut scratch);
             assert_eq!(m.rnn(), oracle(&ga, &gb, q, None).as_slice(), "tick {tick}");
         }
     }
@@ -436,9 +390,9 @@ mod tests {
         let (ga, gb) = grids(&[(8.0, 5.0)], &[(5.5, 5.0), (7.5, 5.0)]);
         let q = Point::new(5.0, 5.0);
         let mut ops = OpCounters::new();
-        let m1 = BiIgern::initial(&ga, &gb, q, None, 1, &mut ops);
+        let m1 = initial(&ga, &gb, q, None, 1, &mut ops);
         assert_eq!(m1.rnn().len(), 1);
-        let m2 = BiIgern::initial(&ga, &gb, q, None, 2, &mut ops);
+        let m2 = initial(&ga, &gb, q, None, 2, &mut ops);
         assert_eq!(m2.rnn().len(), 2);
     }
 
@@ -456,7 +410,7 @@ mod tests {
             let q = Point::new(rnd(), rnd());
             let mut ops = OpCounters::new();
             for k in [1usize, 2, 4] {
-                let m = BiIgern::initial(&ga, &gb, q, None, k, &mut ops);
+                let m = initial(&ga, &gb, q, None, k, &mut ops);
                 assert_eq!(
                     m.rnn(),
                     oracle_k(&ga, &gb, q, k).as_slice(),
@@ -477,8 +431,8 @@ mod tests {
         let b: Vec<(f64, f64)> = (0..25).map(|_| (rnd() * 10.0, rnd() * 10.0)).collect();
         let (mut ga, mut gb) = grids(&a, &b);
         let q = Point::new(5.0, 5.0);
-        let mut ops = OpCounters::new();
-        let mut m = BiIgern::initial(&ga, &gb, q, None, 2, &mut ops);
+        let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
+        let mut m = initial(&ga, &gb, q, None, 2, &mut ops);
         for tick in 0..25 {
             for i in 0..15u32 {
                 if rnd() < 0.3 {
@@ -505,7 +459,7 @@ mod tests {
                     );
                 }
             }
-            m.incremental(&ga, &gb, q, &mut ops);
+            m.incremental(&ga, &gb, q, &mut ops, &mut scratch);
             assert_eq!(m.rnn(), oracle_k(&ga, &gb, q, 2).as_slice(), "tick {tick}");
         }
     }
@@ -514,7 +468,7 @@ mod tests {
     fn no_a_objects_admits_every_b() {
         let (ga, gb) = grids(&[], &[(1.0, 1.0), (9.0, 9.0)]);
         let mut ops = OpCounters::new();
-        let m = BiIgern::initial(&ga, &gb, Point::new(5.0, 5.0), None, 3, &mut ops);
+        let m = initial(&ga, &gb, Point::new(5.0, 5.0), None, 3, &mut ops);
         assert_eq!(m.rnn().len(), 2);
     }
 }

@@ -8,7 +8,6 @@ use std::time::Instant;
 use igern_geom::Point;
 use igern_grid::{ObjectId, OpCounters};
 
-use crate::batch::Feeds;
 use crate::metrics::TickSample;
 use crate::monitor::ContinuousMonitor;
 use crate::scratch::EvalScratch;
@@ -56,7 +55,7 @@ impl QuerySlot {
 /// step reads (see [`crate::monitor`]). The anchor cell is always checked
 /// so a move of the query object itself — or of a neighbor sharing its
 /// cell — forces re-evaluation.
-pub fn can_skip(store: &SpatialStore, slot: &QuerySlot, anchor: igern_geom::Point) -> bool {
+pub fn can_skip(store: &SpatialStore, slot: &QuerySlot, anchor: Point) -> bool {
     if !slot.initialized {
         return false;
     }
@@ -96,31 +95,10 @@ pub fn evaluate_query(
     route: bool,
     scratch: &mut EvalScratch,
 ) -> TickSample {
-    match presample(store, slot, tick, route) {
-        Presample::Done(sample) => sample,
-        Presample::Evaluate(pos) => evaluate_at(store, slot, pos, tick, scratch, Feeds::default()),
-    }
-}
-
-/// Outcome of the pre-evaluation checks (desync and skip routing): either
-/// the tick's sample is already decided, or the monitor must run against
-/// the query's resolved position.
-pub enum Presample {
-    /// The sample is final — the anchor desynced or the skip check passed.
-    Done(TickSample),
-    /// The monitor must evaluate at this (resolved) query position.
-    Evaluate(Point),
-}
-
-/// The desync/skip prefix of [`evaluate_query`], split out so the batch
-/// evaluator can group the queries that actually need evaluation by their
-/// anchor cell first. Calling [`presample`] then [`evaluate_at`] on
-/// `Evaluate` is exactly [`evaluate_query`].
-pub fn presample(store: &SpatialStore, slot: &QuerySlot, tick: u64, route: bool) -> Presample {
     let Some(pos) = store.position(slot.obj) else {
         let mut ops = OpCounters::new();
         ops.desyncs = 1;
-        return Presample::Done(TickSample {
+        return TickSample {
             tick,
             ops,
             monitored: slot.monitored,
@@ -128,40 +106,24 @@ pub fn presample(store: &SpatialStore, slot: &QuerySlot, tick: u64, route: bool)
             region_area: slot.region_area,
             skipped: true,
             ..TickSample::default()
-        });
+        };
     };
     if route && can_skip(store, slot, pos) {
         // Zero-cost sample: the previous answer is reused verbatim.
-        return Presample::Done(TickSample {
+        return TickSample {
             tick,
             monitored: slot.monitored,
             answer_size: slot.answer.len(),
             region_area: slot.region_area,
             skipped: true,
             ..TickSample::default()
-        });
+        };
     }
-    Presample::Evaluate(pos)
-}
-
-/// The evaluation suffix of [`evaluate_query`]: one
-/// [`ContinuousMonitor::evaluate`] at `pos` — the monitor knows whether
-/// that is its initial or its incremental step — then refresh the slot's
-/// derived results. `feeds` carries the batch evaluator's shared-scan
-/// caches; `Feeds::default()` (no feeds) gives the plain per-query path,
-/// and any feed state yields bit-identical answers and counters
-/// (unprimed cells fall back to direct grid reads).
-pub fn evaluate_at(
-    store: &SpatialStore,
-    slot: &mut QuerySlot,
-    pos: Point,
-    tick: u64,
-    scratch: &mut EvalScratch,
-    feeds: Feeds<'_>,
-) -> TickSample {
+    // One `evaluate` — the monitor knows whether that is its initial or
+    // its incremental step — then refresh the slot's derived results.
     let mut ops = OpCounters::new();
     let start = Instant::now();
-    slot.monitor.evaluate(store, pos, feeds, &mut ops, scratch);
+    slot.monitor.evaluate(store, pos, &mut ops, scratch);
     // Only `can_skip` reads this: a monitor that has never evaluated
     // must not skip a quiet first tick.
     slot.initialized = true;
@@ -185,7 +147,7 @@ mod tests {
     use super::*;
     use crate::processor::Algorithm;
     use crate::types::ObjectKind;
-    use igern_geom::{Aabb, Point};
+    use igern_geom::Aabb;
 
     fn store(points: &[(f64, f64)]) -> SpatialStore {
         let kinds = vec![ObjectKind::A; points.len()];

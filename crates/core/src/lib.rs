@@ -39,11 +39,9 @@
 //! * [`eval`] — the per-query evaluation step ([`eval::evaluate_query`]):
 //!   skip the query when its watched cells saw no update, otherwise run
 //!   its monitor and record a per-tick sample. `igern-engine`'s
-//!   `TickRunner` walks the registered queries through it every tick.
-//! * [`batch`] — the anchor-cell shared-scan batch evaluator
-//!   ([`batch::BatchEvaluator`]): same-class queries anchored in the same
-//!   cell share one ring-ordered priming pass, bit-identical to the
-//!   per-query path.
+//!   `TickRunner` walks the registered queries through it every tick. It
+//!   is the only evaluation path: every query runs its own monitor over
+//!   the grid kernels of `igern_grid::nn`.
 //! * [`history`] — the bounded per-query sample log (ring buffer plus an
 //!   exact running aggregate).
 //! * [`costmodel`] — the analytical cost model of Section 6.
@@ -59,7 +57,7 @@
 //! # Example
 //!
 //! ```
-//! use igern_core::MonoIgern;
+//! use igern_core::{prune::PruneGranularity, EvalScratch, MonoIgern};
 //! use igern_geom::{Aabb, Point};
 //! use igern_grid::{Grid, ObjectId, OpCounters};
 //!
@@ -69,20 +67,22 @@
 //! grid.insert(ObjectId(1), Point::new(65.0, 50.0));
 //! grid.insert(ObjectId(2), Point::new(10.0, 10.0));
 //!
-//! let mut ops = OpCounters::new();
+//! let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
 //! let q = Point::new(50.0, 50.0);
-//! let mut monitor = MonoIgern::initial(&grid, q, None, 1, &mut ops);
+//! let exact = PruneGranularity::Exact;
+//! let mut monitor = MonoIgern::initial(&grid, q, None, 1, exact, &mut ops, &mut scratch);
 //! assert_eq!(monitor.rnn(), &[ObjectId(0), ObjectId(1)]);
 //!
 //! // Object 1 steps between the query and object 0: object 0 is now
 //! // closer to object 1 than to the query and drops out of the answer.
 //! grid.update(ObjectId(1), Point::new(45.0, 50.0));
-//! monitor.incremental(&grid, q, &mut ops);
+//! monitor.incremental(&grid, q, &mut ops, &mut scratch);
 //! assert_eq!(monitor.rnn(), &[ObjectId(1)]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod baselines;
-pub mod batch;
 pub mod bi;
 pub mod costmodel;
 pub mod eval;
@@ -104,9 +104,8 @@ pub mod scratch;
 pub mod store;
 pub mod types;
 
-pub use batch::{BatchClass, BatchEvaluator, Feeds};
 pub use bi::BiIgern;
-pub use eval::{can_skip, evaluate_at, evaluate_query, presample, Presample, QuerySlot};
+pub use eval::{can_skip, evaluate_query, QuerySlot};
 pub use history::History;
 pub use hooks::{SharedSimHooks, SimHooks};
 pub use knn_monitor::KnnMonitor;

@@ -43,7 +43,6 @@ use igern_geom::{Point, SECTOR_COUNT};
 use igern_grid::{CellSet, Grid, ObjectId, OpCounters};
 
 use crate::baselines::{tpl_snapshot_with, voronoi_snapshot, Crnn, TplAnswer};
-use crate::batch::{BatchClass, Feeds};
 use crate::bi::BiIgern;
 use crate::knn_monitor::KnnMonitor;
 use crate::mono::MonoIgern;
@@ -65,27 +64,15 @@ use crate::types::DistanceMode;
 pub trait ContinuousMonitor: Send + Sync {
     /// Evaluate against the current store with the query object at `q`.
     ///
-    /// `feeds` carries the batch evaluator's shared-scan caches and is
-    /// empty ([`Feeds::default`]) unless the monitor returns a
-    /// [`ContinuousMonitor::batch_class`]; answers and counters must not
-    /// depend on the feed state. `scratch` is reusable evaluation
-    /// workspace owned by the shard; a warm scratch makes the
-    /// steady-state tick allocation-free.
+    /// `scratch` is reusable evaluation workspace owned by the shard; a
+    /// warm scratch makes the steady-state tick allocation-free.
     fn evaluate(
         &mut self,
         store: &SpatialStore,
         q: Point,
-        feeds: Feeds<'_>,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     );
-
-    /// The batch-evaluation grouping class, when this monitor can share an
-    /// expanding-ring scan with same-class queries anchored in the same
-    /// cell. `None` (the default) keeps the monitor on the per-query path.
-    fn batch_class(&self) -> Option<BatchClass> {
-        None
-    }
 
     /// Write the current answer into `out` (cleared first), sorted by id.
     fn answer_into(&self, out: &mut Vec<ObjectId>);
@@ -191,19 +178,17 @@ impl ContinuousMonitor for MonoIgernMonitor {
         &mut self,
         store: &SpatialStore,
         q: Point,
-        feeds: Feeds<'_>,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) {
         let grid = store.all();
         let m = match &mut self.inner {
             Some(m) => {
-                m.incremental_in_feed(grid, feeds.all, q, ops, scratch);
+                m.incremental(grid, q, ops, scratch);
                 m
             }
-            None => self.inner.insert(MonoIgern::initial_in_feed(
+            None => self.inner.insert(MonoIgern::initial(
                 grid,
-                feeds.all,
                 q,
                 self.q_id,
                 self.k,
@@ -216,10 +201,6 @@ impl ContinuousMonitor for MonoIgernMonitor {
         self.watch.clone_from(m.alive_cells());
         let cand = m.candidate_pairs().iter().copied();
         add_candidate_closure(grid, q, cand, &mut self.watch);
-    }
-
-    fn batch_class(&self) -> Option<BatchClass> {
-        Some(BatchClass::Mono(self.k))
     }
 
     fn answer_into(&self, out: &mut Vec<ObjectId>) {
@@ -269,21 +250,18 @@ impl ContinuousMonitor for BiIgernMonitor {
         &mut self,
         store: &SpatialStore,
         q: Point,
-        feeds: Feeds<'_>,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) {
         let (grid_a, grid_b) = (store.grid_a(), store.grid_b());
         let m = match &mut self.inner {
             Some(m) => {
-                m.incremental_in_feed(grid_a, grid_b, feeds.a, feeds.b, q, ops, scratch);
+                m.incremental(grid_a, grid_b, q, ops, scratch);
                 m
             }
-            None => self.inner.insert(BiIgern::initial_in_feed(
+            None => self.inner.insert(BiIgern::initial(
                 grid_a,
                 grid_b,
-                feeds.a,
-                feeds.b,
                 q,
                 self.q_id,
                 self.k,
@@ -304,10 +282,6 @@ impl ContinuousMonitor for BiIgernMonitor {
         for &(p, _) in m.monitored_pairs() {
             self.watch.insert(grid.cell_of_point(p));
         }
-    }
-
-    fn batch_class(&self) -> Option<BatchClass> {
-        Some(BatchClass::Bi(self.k))
     }
 
     fn answer_into(&self, out: &mut Vec<ObjectId>) {
@@ -361,7 +335,6 @@ impl ContinuousMonitor for CrnnMonitor {
         &mut self,
         store: &SpatialStore,
         q: Point,
-        _feeds: Feeds<'_>,
         ops: &mut OpCounters,
         _scratch: &mut EvalScratch,
     ) {
@@ -434,7 +407,6 @@ impl ContinuousMonitor for KnnQueryMonitor {
         &mut self,
         store: &SpatialStore,
         q: Point,
-        _feeds: Feeds<'_>,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) {
@@ -504,7 +476,6 @@ impl ContinuousMonitor for TplRepeatMonitor {
         &mut self,
         store: &SpatialStore,
         q: Point,
-        _feeds: Feeds<'_>,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) {
@@ -552,7 +523,6 @@ impl ContinuousMonitor for VoronoiRepeatMonitor {
         &mut self,
         store: &SpatialStore,
         q: Point,
-        _feeds: Feeds<'_>,
         ops: &mut OpCounters,
         _scratch: &mut EvalScratch,
     ) {
@@ -599,7 +569,7 @@ mod tests {
         let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
         let q = Point::new(5.0, 5.0);
         let mut mon = MonoIgernMonitor::new(Some(ObjectId(0)), 1);
-        mon.evaluate(&store, q, Feeds::default(), &mut ops, &mut scratch);
+        mon.evaluate(&store, q, &mut ops, &mut scratch);
         let watch = mon.monitored_cells().expect("mono watch is bounded");
         let inner = mon.inner.as_ref().unwrap();
         for c in inner.alive_cells().iter() {
@@ -619,12 +589,12 @@ mod tests {
         let q = Point::new(5.0, 5.0);
         // Underfull answer (k > population): watch everything.
         let mut big = KnnQueryMonitor::new(Some(ObjectId(0)), 10);
-        big.evaluate(&store, q, Feeds::default(), &mut ops, &mut scratch);
+        big.evaluate(&store, q, &mut ops, &mut scratch);
         assert!(big.monitored_cells().is_none());
         // Full answer: a bounded disk that contains the anchor cell but
         // not the far corner.
         let mut two = KnnQueryMonitor::new(Some(ObjectId(0)), 2);
-        two.evaluate(&store, q, Feeds::default(), &mut ops, &mut scratch);
+        two.evaluate(&store, q, &mut ops, &mut scratch);
         let watch = two.monitored_cells().expect("full answer bounds the watch");
         assert!(watch.contains(store.all().cell_of_point(q)));
         assert!(!watch.contains(store.all().cell_of_point(Point::new(9.9, 9.9))));
@@ -636,7 +606,7 @@ mod tests {
         let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
         let mut tpl = TplRepeatMonitor::new(Some(ObjectId(0)));
         let q = Point::new(5.0, 5.0);
-        tpl.evaluate(&store, q, Feeds::default(), &mut ops, &mut scratch);
+        tpl.evaluate(&store, q, &mut ops, &mut scratch);
         assert!(tpl.monitored_cells().is_none());
         let mut out = Vec::new();
         tpl.answer_into(&mut out);
@@ -650,7 +620,7 @@ mod tests {
         let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
         let mut mon = CrnnMonitor::new(Some(ObjectId(0)));
         let q = Point::new(5.0, 5.0);
-        mon.evaluate(&store, q, Feeds::default(), &mut ops, &mut scratch);
+        mon.evaluate(&store, q, &mut ops, &mut scratch);
         assert!(mon.num_monitored() < SECTOR_COUNT);
         assert!(mon.monitored_cells().is_none());
     }

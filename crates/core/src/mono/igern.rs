@@ -29,7 +29,7 @@
 //!   candidates survive per 60° pie).
 
 use igern_geom::Point;
-use igern_grid::{count_closer_than_feed, CellFeed, CellSet, Grid, ObjectId, OpCounters};
+use igern_grid::{count_closer_than, CellSet, Grid, ObjectId, OpCounters};
 
 use crate::prune::{monitored_capacity, PruneGranularity};
 use crate::region::{Region, SearchClass};
@@ -47,35 +47,14 @@ pub struct MonoIgern {
 
 impl MonoIgern {
     /// Algorithm 1 — the initial step: compute the first answer, the alive
-    /// region, and `RNNcand`.
+    /// region, and `RNNcand`, with an explicit pruning granularity
+    /// (ablation A2; see [`PruneGranularity`]) and caller-provided
+    /// evaluation scratch.
     ///
     /// # Panics
     /// Panics when `k == 0`.
     pub fn initial(
         grid: &Grid,
-        q: Point,
-        q_id: Option<ObjectId>,
-        k: usize,
-        ops: &mut OpCounters,
-    ) -> Self {
-        let scratch = &mut EvalScratch::default();
-        let granularity = PruneGranularity::default();
-        Self::initial_in_feed(grid, None, q, q_id, k, granularity, ops, scratch)
-    }
-
-    /// [`MonoIgern::initial`] with an explicit pruning granularity
-    /// (ablation A2; see [`PruneGranularity`]), caller-provided evaluation
-    /// scratch — the allocation-free form the hot paths use — and primed
-    /// cells read from `feed` (the batch evaluator's shared-scan cache).
-    /// `None`-feed calls and feed-backed calls produce bit-identical
-    /// answers and counters.
-    ///
-    /// # Panics
-    /// Panics when `k == 0`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn initial_in_feed(
-        grid: &Grid,
-        feed: Option<&CellFeed>,
         q: Point,
         q_id: Option<ObjectId>,
         k: usize,
@@ -90,26 +69,18 @@ impl MonoIgern {
         // Phase I: bounded region.
         state
             .region
-            .tighten(grid, feed, SearchClass::Constrained, ops, scratch);
+            .tighten(grid, SearchClass::Constrained, ops, scratch);
         // Phase II: verification.
-        state.verify(grid, feed, ops);
+        state.verify(grid, ops);
         state
     }
 
     /// Algorithm 2 — the incremental step, run every Δt with the query's
-    /// current position.
-    pub fn incremental(&mut self, grid: &Grid, q: Point, ops: &mut OpCounters) {
-        self.incremental_in_feed(grid, None, q, ops, &mut EvalScratch::default());
-    }
-
-    /// [`MonoIgern::incremental`] with caller-provided evaluation scratch
-    /// (a warm scratch makes the steady-state tick allocation-free),
-    /// reading primed cells from `feed`; see
-    /// [`MonoIgern::initial_in_feed`].
-    pub fn incremental_in_feed(
+    /// current position. A warm scratch makes the steady-state tick
+    /// allocation-free.
+    pub fn incremental(
         &mut self,
         grid: &Grid,
-        feed: Option<&CellFeed>,
         q: Point,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
@@ -118,17 +89,17 @@ impl MonoIgern {
         // objects that (re-)entered the alive region, clean `RNNcand`.
         self.region.refresh(grid, q, scratch);
         self.region
-            .tighten(grid, feed, SearchClass::Bounded, ops, scratch);
+            .tighten(grid, SearchClass::Bounded, ops, scratch);
         self.region.clean(&mut scratch.prune);
         // Line 10: verification.
-        self.verify(grid, feed, ops);
+        self.verify(grid, ops);
     }
 
     /// Phase-II verification (Algorithm 1 line 8 / Algorithm 2 line 10):
     /// keep a candidate iff the query is among its `k` nearest objects —
     /// i.e. fewer than `k` other objects lie strictly closer to it than
     /// the query does. Rebuilds `self.rnn` in place.
-    fn verify(&mut self, grid: &Grid, feed: Option<&CellFeed>, ops: &mut OpCounters) {
+    fn verify(&mut self, grid: &Grid, ops: &mut OpCounters) {
         let (k, q, q_id) = (self.region.k(), self.region.q(), self.region.q_id());
         self.rnn.clear();
         for &(pos, id) in self.region.sites() {
@@ -146,7 +117,7 @@ impl MonoIgern {
                 }
             };
             let d_q = pos.dist_sq(q);
-            if count_closer_than_feed(grid, feed, pos, d_q, k, exclude, ops) < k {
+            if count_closer_than(grid, pos, d_q, k, exclude, ops) < k {
                 self.rnn.push(id);
             }
         }
@@ -200,6 +171,18 @@ mod tests {
     use crate::naive;
     use igern_geom::Aabb;
 
+    /// [`MonoIgern::initial`] at exact granularity with a fresh scratch.
+    fn initial(
+        g: &Grid,
+        q: Point,
+        q_id: Option<ObjectId>,
+        k: usize,
+        ops: &mut OpCounters,
+    ) -> MonoIgern {
+        let scratch = &mut EvalScratch::default();
+        MonoIgern::initial(g, q, q_id, k, PruneGranularity::Exact, ops, scratch)
+    }
+
     fn grid_with(points: &[(f64, f64)]) -> Grid {
         let mut g = Grid::new(Aabb::from_coords(0.0, 0.0, 10.0, 10.0), 8);
         for (i, &(x, y)) in points.iter().enumerate() {
@@ -231,7 +214,7 @@ mod tests {
         ]);
         let q = Point::new(5.0, 5.0);
         let mut ops = OpCounters::new();
-        let m = MonoIgern::initial(&g, q, None, 1, &mut ops);
+        let m = initial(&g, q, None, 1, &mut ops);
         assert_eq!(m.rnn(), oracle(&g, q, None).as_slice());
         // The far corners must not be monitored (dominated by nearer
         // candidates' bisectors) — the whole point of the bounded region.
@@ -252,7 +235,7 @@ mod tests {
             let g = grid_with(&pts);
             let q = Point::new(rnd(), rnd());
             let mut ops = OpCounters::new();
-            let m = MonoIgern::initial(&g, q, None, 1, &mut ops);
+            let m = initial(&g, q, None, 1, &mut ops);
             assert_eq!(m.rnn(), oracle(&g, q, None).as_slice(), "round {round}");
         }
     }
@@ -261,7 +244,7 @@ mod tests {
     fn empty_grid_has_no_answers() {
         let g = grid_with(&[]);
         let mut ops = OpCounters::new();
-        let m = MonoIgern::initial(&g, Point::new(5.0, 5.0), None, 1, &mut ops);
+        let m = initial(&g, Point::new(5.0, 5.0), None, 1, &mut ops);
         assert!(m.rnn().is_empty());
         assert_eq!(m.num_monitored(), 0);
     }
@@ -270,7 +253,7 @@ mod tests {
     fn single_object_is_always_rnn() {
         let g = grid_with(&[(2.0, 2.0)]);
         let mut ops = OpCounters::new();
-        let m = MonoIgern::initial(&g, Point::new(8.0, 8.0), None, 1, &mut ops);
+        let m = initial(&g, Point::new(8.0, 8.0), None, 1, &mut ops);
         assert_eq!(m.rnn(), &[ObjectId(0)]);
     }
 
@@ -279,7 +262,7 @@ mod tests {
         let mut g = grid_with(&[(3.0, 3.0)]);
         g.insert(ObjectId(7), Point::new(5.0, 5.0)); // the query itself
         let mut ops = OpCounters::new();
-        let m = MonoIgern::initial(&g, Point::new(5.0, 5.0), Some(ObjectId(7)), 1, &mut ops);
+        let m = initial(&g, Point::new(5.0, 5.0), Some(ObjectId(7)), 1, &mut ops);
         assert_eq!(
             m.rnn(),
             oracle(&g, Point::new(5.0, 5.0), Some(ObjectId(7))).as_slice()
@@ -291,27 +274,27 @@ mod tests {
     fn incremental_tracks_object_movement() {
         let mut g = grid_with(&[(4.0, 5.0), (8.0, 5.0)]);
         let q = Point::new(5.0, 5.0);
-        let mut ops = OpCounters::new();
-        let mut m = MonoIgern::initial(&g, q, None, 1, &mut ops);
+        let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
+        let mut m = initial(&g, q, None, 1, &mut ops);
         assert_eq!(m.rnn(), oracle(&g, q, None).as_slice());
         // Object 1 swings close to object 0: object 0 stops being an RNN.
         g.update(ObjectId(1), Point::new(3.5, 5.0));
-        m.incremental(&g, q, &mut ops);
+        m.incremental(&g, q, &mut ops, &mut scratch);
         assert_eq!(m.rnn(), oracle(&g, q, None).as_slice());
         // And moves far away again.
         g.update(ObjectId(1), Point::new(9.5, 9.5));
-        m.incremental(&g, q, &mut ops);
+        m.incremental(&g, q, &mut ops, &mut scratch);
         assert_eq!(m.rnn(), oracle(&g, q, None).as_slice());
     }
 
     #[test]
     fn incremental_tracks_query_movement() {
         let g = grid_with(&[(2.0, 2.0), (8.0, 8.0), (2.0, 8.0)]);
-        let mut ops = OpCounters::new();
-        let mut m = MonoIgern::initial(&g, Point::new(5.0, 5.0), None, 1, &mut ops);
+        let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
+        let mut m = initial(&g, Point::new(5.0, 5.0), None, 1, &mut ops);
         for &(x, y) in &[(1.0, 1.0), (9.0, 9.0), (5.0, 9.0), (0.5, 9.5)] {
             let q = Point::new(x, y);
-            m.incremental(&g, q, &mut ops);
+            m.incremental(&g, q, &mut ops, &mut scratch);
             assert_eq!(m.rnn(), oracle(&g, q, None).as_slice(), "q = {q}");
         }
     }
@@ -320,13 +303,13 @@ mod tests {
     fn incremental_detects_new_object_in_alive_region() {
         let mut g = grid_with(&[(4.0, 5.0)]);
         let q = Point::new(5.0, 5.0);
-        let mut ops = OpCounters::new();
-        let mut m = MonoIgern::initial(&g, q, None, 1, &mut ops);
+        let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
+        let mut m = initial(&g, q, None, 1, &mut ops);
         assert_eq!(m.rnn(), &[ObjectId(0)]);
         // A new object appears right next to the query (Figure 2c's
         // scenario): the answer must absorb it.
         g.insert(ObjectId(1), Point::new(5.3, 5.0));
-        m.incremental(&g, q, &mut ops);
+        m.incremental(&g, q, &mut ops, &mut scratch);
         assert_eq!(m.rnn(), oracle(&g, q, None).as_slice());
         assert!(m.candidates().contains(&ObjectId(1)));
     }
@@ -335,11 +318,11 @@ mod tests {
     fn quiescent_ticks_keep_the_answer() {
         let g = grid_with(&[(4.0, 5.0), (8.0, 2.0), (1.0, 9.0)]);
         let q = Point::new(5.0, 5.0);
-        let mut ops = OpCounters::new();
-        let mut m = MonoIgern::initial(&g, q, None, 1, &mut ops);
+        let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
+        let mut m = initial(&g, q, None, 1, &mut ops);
         let first = m.rnn().to_vec();
         for _ in 0..5 {
-            m.incremental(&g, q, &mut ops);
+            m.incremental(&g, q, &mut ops, &mut scratch);
             assert_eq!(m.rnn(), first.as_slice());
         }
     }
@@ -354,8 +337,8 @@ mod tests {
         let pts: Vec<(f64, f64)> = (0..60).map(|_| (rnd() * 10.0, rnd() * 10.0)).collect();
         let mut g = grid_with(&pts);
         let mut q = Point::new(5.0, 5.0);
-        let mut ops = OpCounters::new();
-        let mut m = MonoIgern::initial(&g, q, None, 1, &mut ops);
+        let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
+        let mut m = initial(&g, q, None, 1, &mut ops);
         for tick in 0..40 {
             // Jitter a random third of the objects and the query.
             for i in 0..60u32 {
@@ -372,7 +355,7 @@ mod tests {
                 (q.x + (rnd() - 0.5)).clamp(0.0, 10.0),
                 (q.y + (rnd() - 0.5)).clamp(0.0, 10.0),
             );
-            m.incremental(&g, q, &mut ops);
+            m.incremental(&g, q, &mut ops, &mut scratch);
             assert_eq!(m.rnn(), oracle(&g, q, None).as_slice(), "tick {tick}");
             assert!(m.rnn().len() <= 6, "mono RNN bound violated");
         }
@@ -391,7 +374,7 @@ mod tests {
         let mut total = 0usize;
         for i in 0..20 {
             let q = Point::new(rnd() * 10.0, rnd() * 10.0);
-            let m = MonoIgern::initial(&g, q, None, 1, &mut ops);
+            let m = initial(&g, q, None, 1, &mut ops);
             total += m.num_monitored();
             let _ = i;
         }
@@ -414,7 +397,7 @@ mod tests {
             let q = Point::new(rnd(), rnd());
             let mut ops = OpCounters::new();
             for k in [1usize, 2, 3, 5] {
-                let m = MonoIgern::initial(&g, q, None, k, &mut ops);
+                let m = initial(&g, q, None, k, &mut ops);
                 assert_eq!(
                     m.rnn(),
                     oracle_k(&g, q, k).as_slice(),
@@ -439,7 +422,7 @@ mod tests {
         let mut ops = OpCounters::new();
         let mut prev: Vec<ObjectId> = Vec::new();
         for k in 1..=4 {
-            let m = MonoIgern::initial(&g, q, None, k, &mut ops);
+            let m = initial(&g, q, None, k, &mut ops);
             for id in &prev {
                 assert!(m.rnn().contains(id), "k={k} lost an answer from k-1");
             }
@@ -458,8 +441,8 @@ mod tests {
         for k in [2usize, 3] {
             let mut g = grid_with(&pts);
             let mut q = Point::new(5.0, 5.0);
-            let mut ops = OpCounters::new();
-            let mut m = MonoIgern::initial(&g, q, None, k, &mut ops);
+            let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
+            let mut m = initial(&g, q, None, k, &mut ops);
             for tick in 0..25 {
                 for i in 0..40u32 {
                     if rnd() < 0.3 {
@@ -477,7 +460,7 @@ mod tests {
                     (q.x + (rnd() - 0.5)).clamp(0.0, 10.0),
                     (q.y + (rnd() - 0.5)).clamp(0.0, 10.0),
                 );
-                m.incremental(&g, q, &mut ops);
+                m.incremental(&g, q, &mut ops, &mut scratch);
                 assert_eq!(m.rnn(), oracle_k(&g, q, k).as_slice(), "k {k} tick {tick}");
             }
         }
@@ -487,11 +470,11 @@ mod tests {
     fn empty_and_small_populations() {
         let g = grid_with(&[]);
         let mut ops = OpCounters::new();
-        let m = MonoIgern::initial(&g, Point::new(5.0, 5.0), None, 3, &mut ops);
+        let m = initial(&g, Point::new(5.0, 5.0), None, 3, &mut ops);
         assert!(m.rnn().is_empty());
         // With n ≤ k, every object is an answer.
         let g2 = grid_with(&[(1.0, 1.0), (9.0, 9.0)]);
-        let m2 = MonoIgern::initial(&g2, Point::new(5.0, 5.0), None, 5, &mut ops);
+        let m2 = initial(&g2, Point::new(5.0, 5.0), None, 5, &mut ops);
         assert_eq!(m2.rnn().len(), 2);
     }
 
@@ -500,6 +483,6 @@ mod tests {
     fn zero_k_rejected() {
         let g = grid_with(&[]);
         let mut ops = OpCounters::new();
-        MonoIgern::initial(&g, Point::ORIGIN, None, 0, &mut ops);
+        initial(&g, Point::ORIGIN, None, 0, &mut ops);
     }
 }

@@ -5,11 +5,10 @@
 //! current snapped view — like the snapshot baselines they publish no
 //! watch set ([`ContinuousMonitor::monitored_cells`] returns `None`), so
 //! skip routing only elides them on fully quiet ticks, which is sound
-//! because identical input yields an identical recomputation. They stay
-//! on the per-query path under batch evaluation (`batch_class` is
-//! `None`); cross-query sharing happens through the lane's memoized
-//! Dijkstra expansions instead, which cache per anchor *node* and so are
-//! shared by every query and candidate touching that node.
+//! because identical input yields an identical recomputation.
+//! Cross-query sharing happens through the lane's memoized Dijkstra
+//! expansions, which cache per anchor *node* and so are shared by every
+//! query and candidate touching that node.
 //!
 //! # Pruning
 //!
@@ -35,7 +34,6 @@
 use igern_geom::Point;
 use igern_grid::{CellSet, Grid, ObjectId, OpCounters};
 
-use crate::batch::Feeds;
 use crate::monitor::ContinuousMonitor;
 use crate::netspace::{net_lb, NetPos, NetView, NetworkSpace};
 use crate::scratch::EvalScratch;
@@ -167,7 +165,6 @@ impl ContinuousMonitor for NetRknnMonitor {
         &mut self,
         store: &SpatialStore,
         q: Point,
-        _feeds: Feeds<'_>,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) {
@@ -249,7 +246,6 @@ impl ContinuousMonitor for NetKnnMonitor {
         &mut self,
         store: &SpatialStore,
         q: Point,
-        _feeds: Feeds<'_>,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
     ) {
@@ -400,7 +396,7 @@ mod tests {
         let q = store.position(anchor).expect("anchor is live");
         let mut scratch = EvalScratch::new();
         let mut ops = OpCounters::new();
-        m.evaluate(store, q, Feeds::default(), &mut ops, &mut scratch);
+        m.evaluate(store, q, &mut ops, &mut scratch);
         let nv = net_view(store);
         let ex = nv.rknn_candidates(
             &nv.space().snap(q),

@@ -356,12 +356,6 @@ pub struct PipelineMetrics {
     pub queries_skipped_total: Counter,
     /// Dirty cells observed per tick (`<prefix>_dirty_cells`).
     pub dirty_cells: Histogram,
-    /// Multi-member shared-scan batch groups formed
-    /// (`<prefix>_batch_groups_total`).
-    pub batch_groups_total: Counter,
-    /// Query-ticks evaluated inside a multi-member batch group
-    /// (`<prefix>_batch_members_total`).
-    pub batch_members_total: Counter,
     /// Cell desyncs survived (`<prefix>_desync_total`).
     pub desync_total: Counter,
     /// §6 operation counters (`<prefix>_ops_nn_total`, …).
@@ -386,8 +380,6 @@ impl PipelineMetrics {
             queries_evaluated_total: registry.counter(&n("queries_evaluated_total")),
             queries_skipped_total: registry.counter(&n("queries_skipped_total")),
             dirty_cells: registry.histogram(&n("dirty_cells"), &COUNT_BUCKETS),
-            batch_groups_total: registry.counter(&n("batch_groups_total")),
-            batch_members_total: registry.counter(&n("batch_members_total")),
             desync_total: registry.counter(&n("desync_total")),
             ops_nn_total: registry.counter(&n("ops_nn_total")),
             ops_nn_c_total: registry.counter(&n("ops_nn_c_total")),

@@ -9,9 +9,7 @@
 //! by the caller itself — a [`Region`] knows neither.
 
 use igern_geom::Point;
-use igern_grid::{
-    nearest_feed, nearest_undominated_in_cells_feed, CellFeed, CellSet, Grid, ObjectId, OpCounters,
-};
+use igern_grid::{nearest, nearest_undominated_in_cells, CellSet, Grid, ObjectId, OpCounters};
 
 use crate::prune::{
     clean_dominated_k_with, kill_cells_beyond_bisector, monitored_capacity, recompute_alive_k_into,
@@ -164,7 +162,6 @@ impl Region {
     pub(crate) fn tighten(
         &mut self,
         grid: &Grid,
-        feed: Option<&CellFeed>,
         class: SearchClass,
         ops: &mut OpCounters,
         scratch: &mut EvalScratch,
@@ -179,7 +176,7 @@ impl Region {
                 // constrained search degenerates to an unconstrained one —
                 // run it as a ring search instead of sorting the whole
                 // cell set.
-                nearest_feed(grid, feed, self.q, self.q_id, ops)
+                nearest(grid, self.q, self.q_id, ops)
             } else {
                 // The probe excludes the query object and the sites, and
                 // under exact granularity also skips objects already
@@ -201,9 +198,8 @@ impl Region {
                 ids.clear();
                 ids.extend(self.q_id);
                 ids.extend(self.sites.iter().map(|&(_, id)| id));
-                nearest_undominated_in_cells_feed(
+                nearest_undominated_in_cells(
                     grid,
-                    feed,
                     self.q,
                     &self.alive,
                     sites,

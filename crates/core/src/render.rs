@@ -93,7 +93,8 @@ mod tests {
         let g = grid_with(&[(1.0, 1.0), (7.0, 7.0)]);
         let mut ops = OpCounters::new();
         let q = Point::new(3.0, 3.0);
-        let m = MonoIgern::initial(&g, q, None, 1, &mut ops);
+        let exact = crate::prune::PruneGranularity::Exact;
+        let m = MonoIgern::initial(&g, q, None, 1, exact, &mut ops, &mut Default::default());
         let art = render_region(&g, m.alive_cells(), q, &m.candidates());
         let lines: Vec<&str> = art.lines().collect();
         assert_eq!(lines.len(), 4, "one line per row");

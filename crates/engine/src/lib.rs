@@ -19,6 +19,8 @@
 //!
 //! [`SpatialStore`]: igern_core::SpatialStore
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 use igern_core::obs::{

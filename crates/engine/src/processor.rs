@@ -349,65 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_processor_matches_per_query_processor() {
-        let pts: Vec<(f64, f64)> = (0..30)
-            .map(|i| ((i * 7 % 30) as f64 / 3.0, (i * 11 % 30) as f64 / 3.0))
-            .collect();
-        let mk = |batch| {
-            let mut p = runner(&pts, 20);
-            p.set_batch(batch);
-            p.add_query(ObjectId(0), Algorithm::IgernMono).unwrap();
-            p.add_query(ObjectId(0), Algorithm::IgernMonoK(2)).unwrap();
-            p.add_query(ObjectId(0), Algorithm::IgernBi).unwrap();
-            p.add_query(ObjectId(0), Algorithm::IgernBiK(2)).unwrap();
-            p.add_query(ObjectId(1), Algorithm::IgernMono).unwrap();
-            p.add_query(ObjectId(0), Algorithm::Crnn).unwrap();
-            p.evaluate_all();
-            p
-        };
-        let mut plain = mk(false);
-        let mut batched = mk(true);
-        let mut state = 123u64;
-        let mut rnd = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33) as f64 / (1u64 << 31) as f64
-        };
-        for tick in 0..20 {
-            let mut ups: Vec<(ObjectId, Point)> = Vec::new();
-            for i in 0..30u32 {
-                if rnd() < 0.4 {
-                    let cur = plain.store().position(ObjectId(i)).unwrap();
-                    ups.push((
-                        ObjectId(i),
-                        Point::new(
-                            (cur.x + rnd() - 0.5).clamp(0.0, 10.0),
-                            (cur.y + rnd() - 0.5).clamp(0.0, 10.0),
-                        ),
-                    ));
-                }
-            }
-            if tick == 7 {
-                plain.remove_query(4);
-                batched.remove_query(4);
-            }
-            plain.step(&ups);
-            batched.step(&ups);
-            for qi in [0usize, 1, 2, 3, 5] {
-                assert_eq!(
-                    plain.answer(qi),
-                    batched.answer(qi),
-                    "query {qi} tick {tick}"
-                );
-                let (ph, bh) = (plain.history(qi), batched.history(qi));
-                let (a, b) = (ph[ph.len() - 1], bh[bh.len() - 1]);
-                assert_eq!(a.skipped, b.skipped, "query {qi} tick {tick}");
-                assert_eq!(a.ops, b.ops, "query {qi} tick {tick}");
-                assert_eq!(a.monitored, b.monitored, "query {qi} tick {tick}");
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "anchor of a live query")]
     fn cannot_remove_query_anchor() {
         let pts = [(5.0, 5.0), (4.0, 4.0)];

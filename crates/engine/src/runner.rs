@@ -29,9 +29,7 @@ use igern_core::history::History;
 use igern_core::hooks::{SharedSimHooks, SimHooks};
 use igern_core::obs::MetricsRegistry;
 use igern_core::processor::Algorithm;
-use igern_core::{
-    BatchEvaluator, ContinuousMonitor, DistanceMode, EvalScratch, ObjectKind, SpatialStore,
-};
+use igern_core::{ContinuousMonitor, DistanceMode, EvalScratch, ObjectKind, SpatialStore};
 use igern_geom::Point;
 use igern_grid::ObjectId;
 
@@ -39,8 +37,7 @@ use crate::{EngineError, EngineMetrics, Placement};
 
 /// One disjoint share of the standing queries, evaluated as a unit. The
 /// three vectors are parallel and kept in ascending query-id order, so a
-/// shard always evaluates its queries — and forms its batch groups — in
-/// the same order.
+/// shard always evaluates its queries in the same order.
 #[derive(Default)]
 struct Shard {
     qids: Vec<usize>,
@@ -49,9 +46,6 @@ struct Shard {
     /// Reusable evaluation workspace; once warm, a steady-state tick
     /// allocates nothing.
     scratch: EvalScratch,
-    /// Shared-scan batch evaluator (used when batching is enabled); its
-    /// feeds and plan buffers warm up once and are reused every tick.
-    batcher: BatchEvaluator,
 }
 
 impl Shard {
@@ -72,14 +66,12 @@ impl Shard {
 
     /// Evaluate every query of the shard against the frozen `store` and
     /// log one sample each.
-    #[allow(clippy::too_many_arguments)]
     fn run(
         &mut self,
         worker: usize,
         store: &SpatialStore,
         tick: u64,
         route: bool,
-        batch: bool,
         hooks: Option<&dyn SimHooks>,
         metrics: Option<&EngineMetrics>,
     ) {
@@ -87,27 +79,12 @@ impl Shard {
             h.on_worker_shard(worker, tick);
         }
         let start = metrics.is_some().then(Instant::now);
-        if batch {
-            self.batcher
-                .run(store, &mut self.slots, tick, route, &mut self.scratch);
-            for (history, sample) in self.histories.iter_mut().zip(self.batcher.samples()) {
-                if let Some(m) = metrics {
-                    m.pipeline.record_sample(sample);
-                }
-                history.push(*sample);
-            }
+        for (slot, history) in self.slots.iter_mut().zip(&mut self.histories) {
+            let sample = evaluate_query(store, slot, tick, route, &mut self.scratch);
             if let Some(m) = metrics {
-                m.pipeline.batch_groups_total.add(self.batcher.groups());
-                m.pipeline.batch_members_total.add(self.batcher.members());
+                m.pipeline.record_sample(&sample);
             }
-        } else {
-            for (slot, history) in self.slots.iter_mut().zip(&mut self.histories) {
-                let sample = evaluate_query(store, slot, tick, route, &mut self.scratch);
-                if let Some(m) = metrics {
-                    m.pipeline.record_sample(&sample);
-                }
-                history.push(sample);
-            }
+            history.push(sample);
         }
         if let (Some(m), Some(t0)) = (metrics, start) {
             m.worker_tick_seconds[worker].observe_duration(t0.elapsed());
@@ -127,7 +104,6 @@ pub struct TickRunner {
     rr_cursor: usize,
     tick: u64,
     skip_routing: bool,
-    batch: bool,
     history_capacity: Option<usize>,
     metrics: Option<EngineMetrics>,
     sim_hooks: Option<SharedSimHooks>,
@@ -135,8 +111,8 @@ pub struct TickRunner {
 
 impl TickRunner {
     /// Wrap a loaded store, splitting future queries over `workers`
-    /// shards. Dirty-region skip routing starts enabled, batching
-    /// disabled, and per-query histories unbounded.
+    /// shards. Dirty-region skip routing starts enabled and per-query
+    /// histories unbounded.
     ///
     /// # Panics
     /// Panics when `workers == 0`.
@@ -150,7 +126,6 @@ impl TickRunner {
             rr_cursor: 0,
             tick: 0,
             skip_routing: true,
-            batch: false,
             history_capacity: None,
             metrics: None,
             sim_hooks: None,
@@ -180,14 +155,10 @@ impl TickRunner {
         self.skip_routing = on;
     }
 
-    /// Enable or disable anchor-cell shared-scan batch evaluation inside
-    /// each shard (see [`igern_core::batch::BatchEvaluator`]). Off by
-    /// default; answers, op counters, and skip decisions are
-    /// bit-identical either way — batching only changes how grid buckets
-    /// are scanned.
-    pub fn set_batch(&mut self, on: bool) {
-        self.batch = on;
-    }
+    /// Does nothing: there is one evaluation path, and no batch setting
+    /// left to switch. Kept only because `benchmark/src/offline.rs` still
+    /// calls it for its `batch.off` / `batch.on` variant runs.
+    pub fn set_batch(&mut self, _on: bool) {}
 
     /// Cap the per-query sample history of **subsequently added** queries
     /// at `cap` retained samples (`None` = unbounded, the default).
@@ -423,18 +394,17 @@ impl TickRunner {
 
     fn round(&mut self, route: bool) {
         let start = self.metrics.is_some().then(Instant::now);
-        let (store, tick, batch) = (&self.store, self.tick, self.batch);
+        let (store, tick) = (&self.store, self.tick);
         let (hooks, metrics) = (self.sim_hooks.as_deref(), self.metrics.as_ref());
         let (first, rest) = self.shards.split_first_mut().expect("at least one shard");
         if rest.is_empty() {
-            first.run(0, store, tick, route, batch, hooks, metrics);
+            first.run(0, store, tick, route, hooks, metrics);
         } else {
             std::thread::scope(|scope| {
                 for (w, shard) in rest.iter_mut().enumerate() {
-                    scope
-                        .spawn(move || shard.run(w + 1, store, tick, route, batch, hooks, metrics));
+                    scope.spawn(move || shard.run(w + 1, store, tick, route, hooks, metrics));
                 }
-                first.run(0, store, tick, route, batch, hooks, metrics);
+                first.run(0, store, tick, route, hooks, metrics);
             });
         }
         if let Some(m) = &self.metrics {

@@ -1,29 +1,21 @@
 //! What the tick loop promises a caller-supplied [`ContinuousMonitor`]
 //! (`TickRunner::add_query_with` is the extension point): `evaluate`
 //! runs once on `evaluate_all`, once per tick that dirties the monitor's
-//! watch set or anchor cell and never on a skipped tick; a monitor
-//! without a `batch_class` is always handed empty `Feeds`; and every
-//! tick logs one sample, skipped or not — whatever the batch setting and
-//! worker count.
+//! watch set or anchor cell and never on a skipped tick; and every tick
+//! logs one sample, skipped or not — whatever the worker count.
 
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 use igern_core::processor::Algorithm;
-use igern_core::{ContinuousMonitor, EvalScratch, Feeds, ObjectKind, SpatialStore};
+use igern_core::{ContinuousMonitor, EvalScratch, ObjectKind, SpatialStore};
 use igern_engine::{Placement, TickRunner};
 use igern_geom::{Aabb, Point};
 use igern_grid::{CellSet, ObjectId, OpCounters};
 
-#[derive(Default)]
-struct Calls {
-    evaluations: AtomicUsize,
-    with_feeds: AtomicUsize,
-}
-
 /// Counts its evaluations and watches nothing but its anchor cell.
 struct CountingMonitor {
-    calls: Arc<Calls>,
+    evaluations: Arc<AtomicUsize>,
     watch: Option<CellSet>,
 }
 
@@ -32,14 +24,10 @@ impl ContinuousMonitor for CountingMonitor {
         &mut self,
         store: &SpatialStore,
         q: Point,
-        feeds: Feeds<'_>,
         _: &mut OpCounters,
         _: &mut EvalScratch,
     ) {
-        self.calls.evaluations.fetch_add(1, Relaxed);
-        if feeds.all.is_some() || feeds.a.is_some() || feeds.b.is_some() {
-            self.calls.with_feeds.fetch_add(1, Relaxed);
-        }
+        self.evaluations.fetch_add(1, Relaxed);
         let grid = store.all();
         let mut watch = CellSet::new(grid.num_cells());
         watch.insert(grid.cell_of_point(q));
@@ -78,49 +66,41 @@ fn evaluate_runs_once_per_unskipped_tick_with_empty_feeds() {
         (ObjectId(3), far(0.3), false),
         (ObjectId(1), near(0.3), true),
     ];
-    for batch in [false, true] {
-        for workers in [1, 2] {
-            let mut store = SpatialStore::new(
-                Aabb::from_coords(0.0, 0.0, 10.0, 10.0),
-                8,
-                vec![ObjectKind::A; 4],
-            );
-            store.load(&[near(0.0), near(0.05), far(0.0), far(0.05)]);
-            let mut runner = TickRunner::new(store, workers, Placement::RoundRobin);
-            runner.set_batch(batch);
-            // Round-robin: the built-in query takes shard 0, so at two
-            // workers the counting one runs on the spawned thread.
-            runner.add_query(ObjectId(2), Algorithm::IgernMono).unwrap();
-            let calls = Arc::new(Calls::default());
-            let monitor = CountingMonitor {
-                calls: Arc::clone(&calls),
-                watch: None,
-            };
-            let q = runner
-                .add_query_with(ObjectId(0), Box::new(monitor))
-                .unwrap();
+    for workers in [1, 2] {
+        let mut store = SpatialStore::new(
+            Aabb::from_coords(0.0, 0.0, 10.0, 10.0),
+            8,
+            vec![ObjectKind::A; 4],
+        );
+        store.load(&[near(0.0), near(0.05), far(0.0), far(0.05)]);
+        let mut runner = TickRunner::new(store, workers, Placement::RoundRobin);
+        // Round-robin: the built-in query takes shard 0, so at two
+        // workers the counting one runs on the spawned thread.
+        runner.add_query(ObjectId(2), Algorithm::IgernMono).unwrap();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let monitor = CountingMonitor {
+            evaluations: Arc::clone(&calls),
+            watch: None,
+        };
+        let q = runner
+            .add_query_with(ObjectId(0), Box::new(monitor))
+            .unwrap();
 
-            let at = format!("batch {batch} workers {workers}");
-            runner.evaluate_all();
-            let mut expected = 1;
-            assert_eq!(calls.evaluations.load(Relaxed), expected, "{at}");
-            for (tick, &(id, pos, dirties_watch)) in stream.iter().enumerate() {
-                runner.step(&[(id, pos)]);
-                expected += usize::from(dirties_watch);
-                assert_eq!(
-                    calls.evaluations.load(Relaxed),
-                    expected,
-                    "{at} tick {tick}"
-                );
-                let history = runner.history(q);
-                assert_eq!(history.len(), tick + 2, "{at}: one sample per tick");
-                assert_eq!(history.latest().unwrap().skipped, !dirties_watch, "{at}");
-            }
-            // A fully quiet tick is skipped too, and still sampled.
-            runner.step(&[]);
-            assert_eq!(calls.evaluations.load(Relaxed), expected, "{at}");
-            assert_eq!(runner.history(q).len(), stream.len() + 2, "{at}");
-            assert_eq!(calls.with_feeds.load(Relaxed), 0, "{at}: feeds handed over");
+        let at = format!("workers {workers}");
+        runner.evaluate_all();
+        let mut expected = 1;
+        assert_eq!(calls.load(Relaxed), expected, "{at}");
+        for (tick, &(id, pos, dirties_watch)) in stream.iter().enumerate() {
+            runner.step(&[(id, pos)]);
+            expected += usize::from(dirties_watch);
+            assert_eq!(calls.load(Relaxed), expected, "{at} tick {tick}");
+            let history = runner.history(q);
+            assert_eq!(history.len(), tick + 2, "{at}: one sample per tick");
+            assert_eq!(history.latest().unwrap().skipped, !dirties_watch, "{at}");
         }
+        // A fully quiet tick is skipped too, and still sampled.
+        runner.step(&[]);
+        assert_eq!(calls.load(Relaxed), expected, "{at}");
+        assert_eq!(runner.history(q).len(), stream.len() + 2, "{at}");
     }
 }

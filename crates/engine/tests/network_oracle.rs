@@ -1,7 +1,7 @@
 //! Network-distance correctness gate: every network-mode monitor must
 //! answer bit-identically to the brute-force Dijkstra oracles in
 //! `igern_core::naive`, across the whole algorithm family, k ∈ {1, 2, 4},
-//! batch on/off, routed and forced evaluation, and mid-stream population
+//! routed and forced evaluation, and mid-stream population
 //! churn — plus direct admissibility fuzz for the Euclidean lower bound
 //! the monitors prune with, and the cases where the pruned candidate
 //! expansion is most fragile (tied distances, objects on nodes,
@@ -115,7 +115,7 @@ fn store_for(mover: &NetworkMover, ns: &Arc<NetworkSpace>, grid: usize) -> Spati
 }
 
 /// The tentpole gate: all algorithms × k × churn, routed, against the
-/// oracles every tick, with batch evaluation required bit-identical.
+/// oracles every tick.
 #[test]
 fn network_monitors_match_oracles_under_churn() {
     for seed in [3u64, 17] {
@@ -123,8 +123,6 @@ fn network_monitors_match_oracles_under_churn() {
         let ns = Arc::new(NetworkSpace::from_network(&net));
         let mut mover = NetworkMover::new(net, 24, seed);
         let mut p = runner_for(&mover, &ns, 16);
-        let mut p_batch = runner_for(&mover, &ns, 16);
-        p_batch.set_batch(true);
         let mut oracle_scratch = NetScratch::default();
 
         let algos = all_queries();
@@ -134,33 +132,23 @@ fn network_monitors_match_oracles_under_churn() {
             let anchor = ObjectId(((i * 2) % mover.len()) as u32);
             handles.push((
                 p.add_query_in(anchor, algo, DistanceMode::Network).unwrap(),
-                p_batch
-                    .add_query_in(anchor, algo, DistanceMode::Network)
-                    .unwrap(),
                 anchor,
                 algo,
             ));
         }
         p.evaluate_all();
-        p_batch.evaluate_all();
 
         for tick in 0..24u64 {
             // Mid-stream churn: a static B joins at tick 8, an A at tick
             // 12; the B leaves at tick 16.
             if tick == 8 {
-                for r in [&mut p, &mut p_batch] {
-                    r.insert_object(ObjectId(200), ObjectKind::B, Point::new(480.0, 520.0));
-                }
+                p.insert_object(ObjectId(200), ObjectKind::B, Point::new(480.0, 520.0));
             }
             if tick == 12 {
-                for r in [&mut p, &mut p_batch] {
-                    r.insert_object(ObjectId(201), ObjectKind::A, Point::new(30.0, 950.0));
-                }
+                p.insert_object(ObjectId(201), ObjectKind::A, Point::new(30.0, 950.0));
             }
             if tick == 16 {
-                for r in [&mut p, &mut p_batch] {
-                    r.remove_object(ObjectId(200));
-                }
+                p.remove_object(ObjectId(200));
             }
             let updates: Vec<(ObjectId, Point)> = mover
                 .advance()
@@ -168,18 +156,12 @@ fn network_monitors_match_oracles_under_churn() {
                 .map(|u| (ObjectId(u.id), u.pos))
                 .collect();
             p.step(&updates);
-            p_batch.step(&updates);
-            for &(h, hb, anchor, algo) in &handles {
+            for &(h, anchor, algo) in &handles {
                 let want = expected(&ns, &mut oracle_scratch, p.store(), anchor, algo);
                 assert_eq!(
                     p.answer(h),
                     want.as_slice(),
                     "seed {seed} tick {tick} algo {algo:?} anchor {anchor}"
-                );
-                assert_eq!(
-                    p_batch.answer(hb),
-                    want.as_slice(),
-                    "batch mismatch: seed {seed} tick {tick} algo {algo:?}"
                 );
             }
         }

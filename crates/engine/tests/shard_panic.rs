@@ -11,7 +11,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use igern_core::processor::Algorithm;
-use igern_core::{ContinuousMonitor, EvalScratch, Feeds, ObjectKind, SpatialStore};
+use igern_core::{ContinuousMonitor, EvalScratch, ObjectKind, SpatialStore};
 use igern_engine::{Placement, TickRunner};
 use igern_geom::{Aabb, Point};
 use igern_grid::{CellSet, ObjectId, OpCounters};
@@ -20,14 +20,7 @@ use igern_grid::{CellSet, ObjectId, OpCounters};
 struct PanickingMonitor;
 
 impl ContinuousMonitor for PanickingMonitor {
-    fn evaluate(
-        &mut self,
-        _: &SpatialStore,
-        _: Point,
-        _: Feeds<'_>,
-        _: &mut OpCounters,
-        _: &mut EvalScratch,
-    ) {
+    fn evaluate(&mut self, _: &SpatialStore, _: Point, _: &mut OpCounters, _: &mut EvalScratch) {
         panic!("monitor failed");
     }
 

@@ -10,6 +10,8 @@
 //! paper relies on ("bisector", "alive region", "pie region", "Voronoi
 //! cell") maps to one module here.
 
+#![forbid(unsafe_code)]
+
 pub mod aabb;
 pub mod circle;
 pub mod halfplane;

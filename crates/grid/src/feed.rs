@@ -1,21 +1,16 @@
-//! Shared-scan cell feed: a per-tick snapshot cache of cell buckets.
+//! Cell feed: a per-tick snapshot cache of cell buckets.
 //!
-//! Batch evaluation (the `igern-core` `BatchEvaluator`) runs one
-//! expanding-ring pass per query group and *primes* this feed with the
-//! `(id, position, live)` triples of every cell the group will scan.
-//! The NN kernels' `*_feed` variants then read primed cells from the
-//! feed's dense arrays instead of re-gathering each object's position
-//! from the grid — one gather per cell per tick, shared by every group
-//! member, instead of one per member.
+//! *Priming* a cell copies the `(id, position, live)` triples of its
+//! bucket into dense arrays, with the positions also laid out as
+//! `xs`/`ys` columns. No evaluation path reads a feed: the shared-scan
+//! batch evaluator that did was deleted (DESIGN §16 records why), and
+//! the type remains only so the benchmark can keep replaying the cost of
+//! priming (`grid.feed_prime_ns_per_cell`).
 //!
-//! Identity contract: a primed cell stores its bucket in **exact bucket
-//! order**, including desynced entries (bucket ids whose position slot
-//! is gone) flagged `live == false`, so the kernels replay the same
-//! visit sequence, the same results, and the same operation counters
-//! (`objects_visited`, `desyncs`, …) as a direct grid scan. Cells that
-//! were never primed fall back to the grid transparently. The feed is
-//! only valid while the grid is frozen — prime and read within one
-//! evaluation pass, never across mutations.
+//! A primed cell stores its bucket in **exact bucket order**, including
+//! desynced entries (bucket ids whose position slot is gone) flagged
+//! `live == false`. The feed is only valid while the grid is frozen —
+//! prime and read within one pass, never across mutations.
 
 use igern_geom::Point;
 
@@ -24,7 +19,7 @@ use crate::object::ObjectId;
 
 /// One cached bucket entry: the object, its position, and whether the
 /// position slot was present at prime time (`false` = bucket/position
-/// desync; kernels count it and move on, exactly as on the grid path).
+/// desync).
 #[derive(Debug, Clone, Copy)]
 pub struct FeedEntry {
     pub id: ObjectId,
@@ -32,8 +27,7 @@ pub struct FeedEntry {
     pub live: bool,
 }
 
-/// A primed cell viewed as structure-of-arrays columns, for kernels with
-/// a branch-free inner loop ([`crate::nn::nearest_undominated_in_cells_feed`]).
+/// A primed cell viewed as structure-of-arrays columns.
 ///
 /// The columns are parallel to `entries`. Dead (desynced) entries hold
 /// `f64::INFINITY` coordinates, so any distance computed against them is
@@ -50,8 +44,8 @@ pub struct FeedScan<'a> {
     pub dead: u32,
 }
 
-/// The shared-scan cache. One feed per evaluation lane per grid;
-/// `begin` once per tick, `prime` per cell, `get` from the kernels.
+/// The bucket snapshot cache: `begin` once per pass, `prime` per cell,
+/// `get` / `get_scan` to read a primed cell.
 ///
 /// Cell validity is epoch-stamped: `begin` bumps the epoch instead of
 /// clearing the per-cell index, so starting a tick is O(1) in the

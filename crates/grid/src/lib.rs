@@ -36,6 +36,8 @@
 //! assert!(grid.cell_changes() >= 1); // the move crossed a cell boundary
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bitvec;
 pub mod cellset;
 pub mod feed;
@@ -51,9 +53,8 @@ pub use cellset::CellSet;
 pub use feed::{CellFeed, FeedEntry, FeedScan};
 pub use grid::{CellId, Grid};
 pub use nn::{
-    count_closer_than, count_closer_than_feed, exists_closer_than, k_nearest, k_nearest_into,
-    nearest, nearest_feed, nearest_in_set, nearest_undominated_in_cells_feed, nearest_where,
-    nearest_where_feed, CellOrderScratch, NearestIter, Neighbor,
+    count_closer_than, exists_closer_than, k_nearest, k_nearest_into, nearest, nearest_in_set,
+    nearest_undominated_in_cells, nearest_where, CellOrderScratch, NearestIter, Neighbor,
 };
 pub use object::ObjectId;
 pub use stats::OpCounters;

@@ -7,7 +7,7 @@
 //! lower bound *"every cell in ring `r` is at least `(r−1)` cell extents
 //! away"*, so they terminate as soon as no farther ring can improve the
 //! current best. The alive-cell probe
-//! ([`nearest_undominated_in_cells_feed`]) additionally scans its cells in
+//! ([`nearest_undominated_in_cells`]) additionally scans its cells in
 //! strict mindist order: rings feed a min-heap frontier, best-first, so a
 //! probe orders only the cells near the ones it actually scans.
 
@@ -17,7 +17,6 @@ use std::collections::BinaryHeap;
 use igern_geom::{Aabb, Point};
 
 use crate::cellset::CellSet;
-use crate::feed::CellFeed;
 use crate::grid::{CellId, Grid};
 use crate::object::ObjectId;
 use crate::stats::OpCounters;
@@ -42,15 +41,9 @@ impl Neighbor {
 
 /// Scan one cell, updating `best` with any closer object that passes
 /// `accept`.
-///
-/// When `feed` has the cell primed, the scan replays the feed's cached
-/// bucket snapshot — same entries, same order, same counter increments
-/// (a dead entry counts one `objects_visited` and one `desyncs`, exactly
-/// like a live bucket id whose position slot is missing).
 #[inline]
 fn scan_cell<F: FnMut(ObjectId, Point) -> bool>(
     grid: &Grid,
-    feed: Option<&CellFeed>,
     cell: CellId,
     q: Point,
     accept: &mut F,
@@ -58,24 +51,6 @@ fn scan_cell<F: FnMut(ObjectId, Point) -> bool>(
     ops: &mut OpCounters,
 ) {
     ops.cells_visited += 1;
-    if let Some(entries) = feed.and_then(|f| f.get(cell)) {
-        for e in entries {
-            ops.objects_visited += 1;
-            if !e.live {
-                ops.desyncs += 1;
-                continue;
-            }
-            let d = q.dist_sq(e.pos);
-            if best.is_none_or(|b| d < b.dist_sq) && accept(e.id, e.pos) {
-                *best = Some(Neighbor {
-                    id: e.id,
-                    pos: e.pos,
-                    dist_sq: d,
-                });
-            }
-        }
-        return;
-    }
     for &id in grid.objects_in(cell) {
         ops.objects_visited += 1;
         let Some(pos) = grid.position(id) else {
@@ -104,22 +79,8 @@ pub fn nearest(
     exclude: Option<ObjectId>,
     ops: &mut OpCounters,
 ) -> Option<Neighbor> {
-    nearest_feed(grid, None, q, exclude, ops)
-}
-
-/// [`nearest`] reading primed cells from a shared-scan [`CellFeed`]
-/// (unprimed cells fall back to the grid; `feed = None` is exactly
-/// [`nearest`]).
-pub fn nearest_feed(
-    grid: &Grid,
-    feed: Option<&CellFeed>,
-    q: Point,
-    exclude: Option<ObjectId>,
-    ops: &mut OpCounters,
-) -> Option<Neighbor> {
-    nearest_where_feed(
+    nearest_where(
         grid,
-        feed,
         q,
         |_, _| true,
         |id, _| Some(id) != exclude,
@@ -139,24 +100,6 @@ pub fn nearest_feed(
 ///   `f64::INFINITY` for an unbounded search.
 pub fn nearest_where<C, O>(
     grid: &Grid,
-    q: Point,
-    cell_pred: C,
-    obj_pred: O,
-    max_dist: f64,
-    ops: &mut OpCounters,
-) -> Option<Neighbor>
-where
-    C: FnMut(CellId, &Aabb) -> bool,
-    O: FnMut(ObjectId, Point) -> bool,
-{
-    nearest_where_feed(grid, None, q, cell_pred, obj_pred, max_dist, ops)
-}
-
-/// [`nearest_where`] reading primed cells from a shared-scan
-/// [`CellFeed`].
-pub fn nearest_where_feed<C, O>(
-    grid: &Grid,
-    feed: Option<&CellFeed>,
     q: Point,
     mut cell_pred: C,
     mut obj_pred: O,
@@ -204,7 +147,7 @@ where
             if !cell_pred(cell, &bounds) {
                 continue;
             }
-            scan_cell(grid, feed, cell, q, &mut obj_pred, &mut best, ops);
+            scan_cell(grid, cell, q, &mut obj_pred, &mut best, ops);
         }
     }
     best.filter(|b| b.dist_sq <= max_dist_sq)
@@ -261,7 +204,7 @@ where
                     continue;
                 }
             }
-            scan_cell(grid, None, cell, q, &mut obj_pred, &mut best, ops);
+            scan_cell(grid, cell, q, &mut obj_pred, &mut best, ops);
         }
     }
     best
@@ -272,7 +215,7 @@ where
 /// either can never let an unloaded cell order before a loaded one.
 const RING_LB_SLACK: f64 = 1e-9;
 
-/// Reusable best-first frontier of [`nearest_undominated_in_cells_feed`]:
+/// Reusable best-first frontier of [`nearest_undominated_in_cells`]:
 /// a min-heap of the member cells loaded so far and not yet scanned, keyed
 /// `(mindist_sq, cell)`. One of these lives in each evaluation scratch;
 /// the heap keeps its capacity between probes, so warm probes perform no
@@ -284,15 +227,6 @@ pub struct CellOrderScratch {
     /// the numeric order.
     frontier: BinaryHeap<Reverse<(u64, CellId)>>,
 }
-
-/// Widest candidate set the branch-free fast path of
-/// [`nearest_undominated_in_cells_feed`] is specialized for. IGERN's
-/// cleaned candidate set is ≤ 6 (six-region lemma); tighten can briefly
-/// overshoot, in which case the kernel falls back to the scalar replay.
-const MAX_FAST_SITES: usize = 6;
-/// Fixed exclusion width of the fast path (`q` plus [`MAX_FAST_SITES`]
-/// candidates, padded by repeating the first excluded id).
-const MAX_FAST_EXCLUDE: usize = 7;
 
 /// The object predicate of IGERN's Phase-I probe at order `k`: reject
 /// excluded ids (the query object and the current candidates), and reject
@@ -324,126 +258,6 @@ fn undominated(
     true
 }
 
-/// Fold one primed cell's columns to the minimum accepted distance
-/// (`f64::INFINITY` when nothing passes), specialized per site count so
-/// the domination loop fully unrolls and the whole scan stays
-/// branch-free — rejected and dead entries fold to infinity instead of
-/// branching, which lets the compiler keep the loop in SIMD registers.
-///
-/// Every lane is a plain IEEE subtract/multiply/add/compare (no fused
-/// multiply-add, no reassociation), so the fold computes bit-identical
-/// values at any vector width — which is what lets the AVX2 version
-/// below share this body.
-#[inline(always)]
-fn column_min_pass_body<const C: usize>(
-    xs: &[f64],
-    ys: &[f64],
-    ids: &[u32],
-    q: Point,
-    sites: &[Point],
-    excl: &[u32; MAX_FAST_EXCLUDE],
-) -> f64 {
-    let sx: [f64; C] = std::array::from_fn(|j| sites[j].x);
-    let sy: [f64; C] = std::array::from_fn(|j| sites[j].y);
-    let mut m = f64::INFINITY;
-    for ((&x, &y), &id) in xs.iter().zip(ys).zip(ids) {
-        let dx = x - q.x;
-        let dy = y - q.y;
-        let d = dx * dx + dy * dy;
-        let mut out = false;
-        for j in 0..C {
-            let ex = x - sx[j];
-            let ey = y - sy[j];
-            out |= ex * ex + ey * ey < d;
-        }
-        for &e in excl {
-            out |= id == e;
-        }
-        let v = if out { f64::INFINITY } else { d };
-        m = if v < m { v } else { m };
-    }
-    m
-}
-
-/// [`column_min_pass_body`] compiled for AVX2 — four f64 lanes per
-/// instruction instead of the two the baseline x86-64 target allows.
-///
-/// # Safety
-///
-/// The caller must have verified that the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn column_min_pass_avx2<const C: usize>(
-    xs: &[f64],
-    ys: &[f64],
-    ids: &[u32],
-    q: Point,
-    sites: &[Point],
-    excl: &[u32; MAX_FAST_EXCLUDE],
-) -> f64 {
-    column_min_pass_body::<C>(xs, ys, ids, q, sites, excl)
-}
-
-/// Width-dispatched [`column_min_pass_body`]: picks the widest fold the
-/// CPU supports at runtime (the detection result is cached by `std`).
-#[inline]
-fn column_min_pass<const C: usize>(
-    xs: &[f64],
-    ys: &[f64],
-    ids: &[u32],
-    q: Point,
-    sites: &[Point],
-    excl: &[u32; MAX_FAST_EXCLUDE],
-) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: feature presence checked on the line above.
-        return unsafe { column_min_pass_avx2::<C>(xs, ys, ids, q, sites, excl) };
-    }
-    column_min_pass_body::<C>(xs, ys, ids, q, sites, excl)
-}
-
-/// The fast-path scan of one primed cell: the index and distance of the
-/// closest accepted entry, when it beats `bound`.
-///
-/// Pass 1 is the branch-free column fold; pass 2 re-derives which entry
-/// produced the minimum, and only runs when the cell actually improves
-/// the running best — which steady-state ticks almost never do. Both
-/// passes evaluate the same IEEE expressions as the scalar replay
-/// ((a−b)² ≡ (b−a)²), so results are bit-identical.
-#[inline]
-fn column_min(
-    scan: &crate::feed::FeedScan<'_>,
-    q: Point,
-    sites: &[Point],
-    exclude: &[ObjectId],
-    excl: &[u32; MAX_FAST_EXCLUDE],
-    bound: f64,
-) -> Option<(usize, f64)> {
-    let m = match sites.len() {
-        0 => column_min_pass::<0>(scan.xs, scan.ys, scan.ids, q, sites, excl),
-        1 => column_min_pass::<1>(scan.xs, scan.ys, scan.ids, q, sites, excl),
-        2 => column_min_pass::<2>(scan.xs, scan.ys, scan.ids, q, sites, excl),
-        3 => column_min_pass::<3>(scan.xs, scan.ys, scan.ids, q, sites, excl),
-        4 => column_min_pass::<4>(scan.xs, scan.ys, scan.ids, q, sites, excl),
-        5 => column_min_pass::<5>(scan.xs, scan.ys, scan.ids, q, sites, excl),
-        _ => column_min_pass::<MAX_FAST_SITES>(scan.xs, scan.ys, scan.ids, q, sites, excl),
-    };
-    if m >= bound {
-        return None;
-    }
-    for (i, e) in scan.entries.iter().enumerate() {
-        if !e.live {
-            continue;
-        }
-        let d = q.dist_sq(e.pos);
-        if d == m && undominated(e.id, e.pos, q, sites, 1, exclude) {
-            return Some((i, d));
-        }
-    }
-    unreachable!("column minimum must correspond to an accepted entry")
-}
-
 /// Nearest object of `cells` that passes the order-`k` `undominated`
 /// predicate — IGERN's Phase-I probe ("the nearest non-candidate object
 /// inside the alive region"), with exact-granularity domination pruning
@@ -461,19 +275,9 @@ fn column_min(
 /// whole alive region, and the scanned sequence — hence the result, the
 /// first-in-bucket-order tie-break and every op counter — is that of the
 /// sort (the `#[cfg(test)]` reference holds it to that).
-///
-/// Per cell the work is a scalar replay of the object predicate, except
-/// at `k == 1`, where primed cells are scanned through the feed's position
-/// columns with the predicate inlined into a branch-free fold and the
-/// per-cell counter effect applied in bulk (a full-cell scan visits every
-/// entry and counts every dead one regardless of outcome), which is what
-/// makes a shared scan cheaper than a per-query replay rather than merely
-/// gather-free. Unprimed cells, higher orders and oversized candidate
-/// sets replay the canonical scalar loop.
 #[allow(clippy::too_many_arguments)]
-pub fn nearest_undominated_in_cells_feed(
+pub fn nearest_undominated_in_cells(
     grid: &Grid,
-    feed: Option<&CellFeed>,
     q: Point,
     cells: &CellSet,
     sites: &[Point],
@@ -482,18 +286,6 @@ pub fn nearest_undominated_in_cells_feed(
     ops: &mut OpCounters,
     scratch: &mut CellOrderScratch,
 ) -> Option<Neighbor> {
-    // The column fold hard-codes "any site closer" (k == 1 — the order
-    // every `hotspot`/`serve` query runs at; measured 19.7/20.8/21.2 ms
-    // per batched `hotspot` tick with it against 21.5/21.1/22.7 without)
-    // and needs a fixed-width exclusion array; padding repeats the first
-    // excluded id, so an empty exclusion (no safe pad value) takes the
-    // scalar replay.
-    let fast = k == 1
-        && !exclude.is_empty()
-        && exclude.len() <= MAX_FAST_EXCLUDE
-        && sites.len() <= MAX_FAST_SITES;
-    let excl: [u32; MAX_FAST_EXCLUDE] =
-        std::array::from_fn(|i| exclude.get(i).or(exclude.first()).map_or(0, |e| e.0));
     let (cx, cy) = grid.cell_coords(grid.cell_of_point(q));
     let max_r = max_ring_radius(grid, cx, cy);
     let ext = grid.min_cell_extent();
@@ -536,22 +328,7 @@ pub fn nearest_undominated_in_cells_feed(
             }
         }
         frontier.pop();
-        let Some(scan) = feed.and_then(|f| f.get_scan(cell)).filter(|_| fast) else {
-            scan_cell(grid, feed, cell, q, &mut accept, &mut best, ops);
-            continue;
-        };
-        ops.cells_visited += 1;
-        ops.objects_visited += scan.entries.len() as u64;
-        ops.desyncs += scan.dead as u64;
-        let bound = best.map_or(f64::INFINITY, |b| b.dist_sq);
-        if let Some((i, d)) = column_min(&scan, q, sites, exclude, &excl, bound) {
-            let e = scan.entries[i];
-            best = Some(Neighbor {
-                id: e.id,
-                pos: e.pos,
-                dist_sq: d,
-            });
-        }
+        scan_cell(grid, cell, q, &mut accept, &mut best, ops);
     }
     best
 }
@@ -665,20 +442,6 @@ pub fn count_closer_than(
     exclude: &[ObjectId],
     ops: &mut OpCounters,
 ) -> usize {
-    count_closer_than_feed(grid, None, center, dist_sq, cap, exclude, ops)
-}
-
-/// [`count_closer_than`] reading primed cells from a shared-scan
-/// [`CellFeed`].
-pub fn count_closer_than_feed(
-    grid: &Grid,
-    feed: Option<&CellFeed>,
-    center: Point,
-    dist_sq: f64,
-    cap: usize,
-    exclude: &[ObjectId],
-    ops: &mut OpCounters,
-) -> usize {
     if cap == 0 {
         return 0;
     }
@@ -698,25 +461,6 @@ pub fn count_closer_than_feed(
                 continue;
             }
             ops.cells_visited += 1;
-            if let Some(entries) = feed.and_then(|f| f.get(cell)) {
-                for e in entries {
-                    if exclude.contains(&e.id) {
-                        continue;
-                    }
-                    ops.objects_visited += 1;
-                    if !e.live {
-                        ops.desyncs += 1;
-                        continue;
-                    }
-                    if center.dist_sq(e.pos) < dist_sq {
-                        count += 1;
-                        if count >= cap {
-                            return count;
-                        }
-                    }
-                }
-                continue;
-            }
             for &id in grid.objects_in(cell) {
                 if exclude.contains(&id) {
                     continue;
@@ -849,15 +593,14 @@ mod tests {
     /// nearest object of the cell set.
     fn nearest_in(g: &Grid, q: Point, cells: &CellSet, ops: &mut OpCounters) -> Option<Neighbor> {
         let scratch = &mut CellOrderScratch::default();
-        nearest_undominated_in_cells_feed(g, None, q, cells, &[], 1, &[], ops, scratch)
+        nearest_undominated_in_cells(g, q, cells, &[], 1, &[], ops, scratch)
     }
 
     /// The reference the best-first frontier replaced: key every member
     /// cell by mindist, sort the whole set, scan in that order with an
     /// arbitrary object predicate.
-    fn nearest_in_cells_with_feed<O>(
+    fn nearest_in_cells_sorted<O>(
         grid: &Grid,
-        feed: Option<&CellFeed>,
         q: Point,
         cells: &CellSet,
         mut obj_pred: O,
@@ -876,7 +619,7 @@ mod tests {
                     break;
                 }
             }
-            scan_cell(grid, feed, cell, q, &mut obj_pred, &mut best, ops);
+            scan_cell(grid, cell, q, &mut obj_pred, &mut best, ops);
         }
         best
     }
@@ -1146,79 +889,6 @@ mod tests {
     }
 
     #[test]
-    fn feed_backed_kernels_match_direct_scans_bit_for_bit() {
-        let mut state = 31u64;
-        let mut rnd = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) * 10.0
-        };
-        let pts: Vec<(f64, f64)> = (0..250).map(|_| (rnd(), rnd())).collect();
-        let mut g = grid_with(&pts);
-        // Desyncs must replay identically through the feed.
-        assert!(g.debug_force_desync(ObjectId(17)));
-        assert!(g.debug_force_desync(ObjectId(101)));
-        let mut feed = CellFeed::new();
-        feed.begin(g.num_cells());
-        for c in 0..g.num_cells() {
-            feed.prime(&g, c);
-        }
-        let mut alive = CellSet::new(g.num_cells());
-        for c in 0..g.num_cells() {
-            if c % 3 != 0 {
-                alive.insert(c);
-            }
-        }
-        let mut scratch = CellOrderScratch::default();
-        let mut desyncs_seen = 0;
-        for i in 0..25 {
-            let q = Point::new((i as f64 * 0.41) % 10.0, (i as f64 * 0.83) % 10.0);
-            let excl = ObjectId(i as u32 * 7);
-            let mut plain = OpCounters::new();
-            let mut fed = OpCounters::new();
-
-            let a = nearest(&g, q, Some(excl), &mut plain);
-            let b = nearest_feed(&g, Some(&feed), q, Some(excl), &mut fed);
-            assert_eq!(a, b, "nearest, query {i}");
-
-            let sc = &mut scratch;
-            let a = nearest_undominated_in_cells_feed(
-                &g,
-                None,
-                q,
-                &alive,
-                &[],
-                1,
-                &[excl],
-                &mut plain,
-                sc,
-            );
-            let b = nearest_undominated_in_cells_feed(
-                &g,
-                Some(&feed),
-                q,
-                &alive,
-                &[],
-                1,
-                &[excl],
-                &mut fed,
-                sc,
-            );
-            assert_eq!(a, b, "alive-cell probe, query {i}");
-
-            let r = 1.5 * 1.5;
-            assert_eq!(
-                count_closer_than(&g, q, r, 3, &[excl], &mut plain),
-                count_closer_than_feed(&g, Some(&feed), q, r, 3, &[excl], &mut fed),
-                "count_closer_than, query {i}"
-            );
-
-            assert_eq!(plain, fed, "op counters must be bit-identical, query {i}");
-            desyncs_seen += plain.desyncs;
-        }
-        assert!(desyncs_seen > 0, "desyncs flow through both paths");
-    }
-
-    #[test]
     fn undominated_kernel_matches_predicate_kernel_bit_for_bit() {
         let mut state = 77u64;
         let mut rnd = move || {
@@ -1237,19 +907,6 @@ mod tests {
             }
             assert!(g.debug_force_desync(ObjectId(23)));
             assert!(g.debug_force_desync(ObjectId(200)));
-            // Feed off, partly primed (the rest exercise the grid
-            // fallback) and fully primed.
-            let mut partly = CellFeed::new();
-            partly.begin(g.num_cells());
-            let mut fully = CellFeed::new();
-            fully.begin(g.num_cells());
-            for c in 0..g.num_cells() {
-                if c % 5 != 0 {
-                    partly.prime(&g, c);
-                }
-                fully.prime(&g, c);
-            }
-            let feeds = [None, Some(&partly), Some(&fully)];
             let cells = |pick: &dyn Fn(usize, usize) -> bool| {
                 let mut set = CellSet::new(g.num_cells());
                 for c in 0..g.num_cells() {
@@ -1270,10 +927,8 @@ mod tests {
                 cells(&|_, iy| iy == 9),
                 cells(&|ix, _| ix == 0),
             ];
-            // Site counts 0..=8 cover the cell-granularity case, every
-            // specialized width, and the >MAX_FAST_SITES fallback; orders
-            // 1 and 3 hold the column arm and the scalar replay to the
-            // closure form; exclusions run from none (no fast path) to 7.
+            // Site counts 0..=8 and orders 1 and 3 hold the kernel to the
+            // closure form; exclusions run from none to 7.
             for n_sites in 0..=8usize {
                 for i in 0..10 {
                     let q = match i % 5 {
@@ -1293,41 +948,36 @@ mod tests {
                         .collect();
                     for (a, alive) in alive_sets.iter().enumerate() {
                         for k in [1usize, 3] {
-                            for (fi, f) in feeds.into_iter().enumerate() {
-                                let mut want_ops = OpCounters::new();
-                                let want = nearest_in_cells_with_feed(
-                                    &g,
-                                    f,
-                                    q,
-                                    alive,
-                                    |id, pos| {
-                                        if exclude.contains(&id) {
-                                            return false;
-                                        }
-                                        let d_q = pos.dist_sq(q);
-                                        sites.iter().filter(|&&s| pos.dist_sq(s) < d_q).count() < k
-                                    },
-                                    &mut want_ops,
-                                );
-                                let mut got_ops = OpCounters::new();
-                                let got = nearest_undominated_in_cells_feed(
-                                    &g,
-                                    f,
-                                    q,
-                                    alive,
-                                    &sites,
-                                    k,
-                                    &exclude,
-                                    &mut got_ops,
-                                    &mut scratch,
-                                );
-                                let at = format!(
-                                    "space {w}x{h} sites {n_sites} k {k} query {i} set {a} feed {fi}"
-                                );
-                                assert_eq!(want, got, "{at}");
-                                assert_eq!(want_ops, got_ops, "op counters diverged: {at}");
-                                found += usize::from(got.is_some());
-                            }
+                            let mut want_ops = OpCounters::new();
+                            let want = nearest_in_cells_sorted(
+                                &g,
+                                q,
+                                alive,
+                                |id, pos| {
+                                    if exclude.contains(&id) {
+                                        return false;
+                                    }
+                                    let d_q = pos.dist_sq(q);
+                                    sites.iter().filter(|&&s| pos.dist_sq(s) < d_q).count() < k
+                                },
+                                &mut want_ops,
+                            );
+                            let mut got_ops = OpCounters::new();
+                            let got = nearest_undominated_in_cells(
+                                &g,
+                                q,
+                                alive,
+                                &sites,
+                                k,
+                                &exclude,
+                                &mut got_ops,
+                                &mut scratch,
+                            );
+                            let at =
+                                format!("space {w}x{h} sites {n_sites} k {k} query {i} set {a}");
+                            assert_eq!(want, got, "{at}");
+                            assert_eq!(want_ops, got_ops, "op counters diverged: {at}");
+                            found += usize::from(got.is_some());
                         }
                     }
                 }
@@ -1348,17 +998,7 @@ mod tests {
         // the frontier: those it scanned plus those still waiting in it.
         let probe = |g: &Grid, cells: &CellSet, scratch: &mut CellOrderScratch| {
             let mut ops = OpCounters::new();
-            let n = nearest_undominated_in_cells_feed(
-                g,
-                None,
-                q,
-                cells,
-                &[],
-                1,
-                &[],
-                &mut ops,
-                scratch,
-            );
+            let n = nearest_undominated_in_cells(g, q, cells, &[], 1, &[], &mut ops, scratch);
             let loaded = ops.cells_visited as usize + scratch.frontier.len();
             (n.map(|n| n.id), loaded)
         };

@@ -34,6 +34,8 @@
 //! assert_ne!(world.mover().position(0), before);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod brinkhoff;
 pub mod hotspot;
 pub mod network;

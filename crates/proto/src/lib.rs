@@ -16,6 +16,8 @@
 //! [`ProtoError`]s — the server answers them with an `ERROR` frame and
 //! closes the offending connection, never a panic.
 
+#![forbid(unsafe_code)]
+
 use std::io::{self, Read};
 
 use igern_core::processor::Algorithm;

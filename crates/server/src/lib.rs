@@ -24,6 +24,8 @@
 //!
 //! [`TickRunner`]: igern_engine::TickRunner
 
+#![forbid(unsafe_code)]
+
 use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -105,10 +107,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Query→shard placement for the sharded backend.
     pub placement: Placement,
-    /// Shared-scan batch evaluation (anchor-cell grouping; see
-    /// [`igern_core::batch`]). On by default — answers are bit-identical
-    /// to per-query evaluation, batching only reduces scan work.
-    pub batch: bool,
     /// Tick cadence.
     pub tick_mode: TickMode,
     /// Bound of the shared ingest queue (frames).
@@ -144,7 +142,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("grid", &self.grid)
             .field("workers", &self.workers)
             .field("placement", &self.placement)
-            .field("batch", &self.batch)
             .field("tick_mode", &self.tick_mode)
             .field("ingest_queue_frames", &self.ingest_queue_frames)
             .field("outbound_queue_frames", &self.outbound_queue_frames)
@@ -165,7 +162,6 @@ impl Default for ServerConfig {
             grid: 16,
             workers: 1,
             placement: Placement::RoundRobin,
-            batch: true,
             tick_mode: TickMode::Manual,
             ingest_queue_frames: 4096,
             outbound_queue_frames: 1024,
@@ -383,7 +379,6 @@ impl Server {
         }
         runner.attach_metrics(&registry, "igern_pipeline");
         runner.set_sim_hooks(cfg.sim_hooks.clone());
-        runner.set_batch(cfg.batch);
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let crashed = Arc::new(AtomicBool::new(false));

@@ -52,7 +52,7 @@ fn frame_table() -> Vec<Frame> {
     ]
 }
 
-/// Feeds a byte script `chunk` bytes per read, returning `WouldBlock`
+/// Hands out a byte script `chunk` bytes per read, returning `WouldBlock`
 /// before every burst — a socket whose read timeout keeps firing
 /// mid-frame.
 struct Trickle {

@@ -130,9 +130,6 @@ pub struct Plan {
     /// unrecoverable corruption the durability layer would silently
     /// repair on replay, splitting the backends from the mirror.
     pub durable: bool,
-    /// Whether every backend evaluates through the shared-scan batch
-    /// path (`igern_core::batch`) — must be answer-invisible.
-    pub batch: bool,
     /// Whether every query runs under network (shortest-path) distance.
     /// The road graph is rebuilt deterministically from `seed` and
     /// `space` (see [`sim_network`]); plan generation snaps every
@@ -192,7 +189,6 @@ pub struct GenConfig {
     pub faults: bool,
     pub server: bool,
     pub durable: bool,
-    pub batch: bool,
     pub network: bool,
 }
 
@@ -487,7 +483,6 @@ pub fn generate(cfg: &GenConfig) -> Plan {
         ticks: cfg.ticks,
         server: cfg.server,
         durable,
-        batch: cfg.batch,
         network: cfg.network,
         victim_anchor: (cfg.server && cfg.faults).then_some(victim_anchor),
         initial,
@@ -518,7 +513,6 @@ mod tests {
             faults: true,
             server: true,
             durable: false,
-            batch: false,
             network: false,
         }
     }

@@ -293,7 +293,6 @@ fn server_cfg(plan: &Plan, hooks: Arc<ScriptedFaults>, wal_dir: Option<&Path>) -
         workers: plan.workers,
         placement: Placement::RoundRobin,
         tick_mode: TickMode::Manual,
-        batch: plan.batch,
         slow_consumer: SlowConsumerPolicy::Coalesce,
         outbound_queue_frames: 64,
         sim_hooks: Some(hooks),
@@ -642,7 +641,6 @@ pub fn execute(plan: &Plan, corruption: Option<&Corruption>) -> Result<SimReport
     serial
         .runner
         .set_sim_hooks(Some(Arc::clone(&hooks) as Arc<dyn SimHooks>));
-    serial.runner.set_batch(plan.batch);
     let mut sharded = Offline {
         name: "sharded",
         runner: TickRunner::new(
@@ -656,7 +654,6 @@ pub fn execute(plan: &Plan, corruption: Option<&Corruption>) -> Result<SimReport
     sharded
         .runner
         .set_sim_hooks(Some(Arc::clone(&hooks) as Arc<dyn SimHooks>));
-    sharded.runner.set_batch(plan.batch);
     // Durable plans run the served backend over a throwaway WAL
     // directory so KillRestart faults have a log to come back from.
     let wal_dir = if plan.server && plan.durable {

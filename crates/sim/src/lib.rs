@@ -42,6 +42,8 @@
 //! assert_eq!(outcome.digest, run(&cfg).unwrap().digest);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod events;
 pub mod exec;
 pub mod oracle;
@@ -86,10 +88,6 @@ pub struct SimConfig {
     /// operation: answers must be bit-identical from the first
     /// post-restart tick.
     pub durable: bool,
-    /// Run every backend with shared-scan batch evaluation (see
-    /// `igern_core::batch`). Off by default so the harness's baseline
-    /// stays the per-query path; turning it on must be answer-invisible.
-    pub batch: bool,
     /// Evaluate every query under network (shortest-path) distance over
     /// a road graph derived deterministically from `seed` and `space`
     /// (see [`events::sim_network`]). Plan generation snaps all motion
@@ -110,7 +108,6 @@ impl Default for SimConfig {
             faults: true,
             server: true,
             durable: false,
-            batch: false,
             network: false,
         }
     }
@@ -129,7 +126,6 @@ impl SimConfig {
             faults: self.faults,
             server: self.server,
             durable: self.durable,
-            batch: self.batch,
             network: self.network,
         }
     }

@@ -256,7 +256,6 @@ mod tests {
             workers: 1,
             ticks: 1,
             server: false,
-            batch: false,
             durable: false,
             network: false,
             victim_anchor: Some(3),

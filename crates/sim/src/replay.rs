@@ -89,7 +89,6 @@ pub fn write_replay(plan: &Plan) -> String {
     let _ = writeln!(s, "  \"ticks\": {},", plan.ticks);
     let _ = writeln!(s, "  \"server\": {},", plan.server);
     let _ = writeln!(s, "  \"durable\": {},", plan.durable);
-    let _ = writeln!(s, "  \"batch\": {},", plan.batch);
     let _ = writeln!(s, "  \"network\": {},", plan.network);
     match plan.victim_anchor {
         Some(a) => {
@@ -288,8 +287,8 @@ pub fn load_replay(text: &str) -> Result<Plan, ReplayError> {
         server: matches!(root.get("server"), Some(Value::Bool(true))),
         // Absent in files written before durability existed: off.
         durable: matches!(root.get("durable"), Some(Value::Bool(true))),
-        // Absent in files written before batch evaluation existed: off.
-        batch: matches!(root.get("batch"), Some(Value::Bool(true))),
+        // A `"batch"` key, written while a batch evaluation switch
+        // existed, is ignored: there is one evaluation path.
         // Absent in files written before network distance existed: off.
         network: matches!(root.get("network"), Some(Value::Bool(true))),
         victim_anchor,
@@ -315,7 +314,6 @@ mod tests {
             faults: true,
             server: true,
             durable: false,
-            batch: false,
             network: false,
         })
     }
@@ -340,7 +338,6 @@ mod tests {
             faults: true,
             server: true,
             durable: true,
-            batch: false,
             network: false,
         });
         assert!(p.events.iter().any(|e| e.event == SimEvent::KillRestart));
@@ -369,7 +366,6 @@ mod tests {
             faults: true,
             server: true,
             durable: false,
-            batch: false,
             network: true,
         });
         let text = write_replay(&p);
@@ -381,6 +377,18 @@ mod tests {
                 .unwrap()
                 .network
         );
+    }
+
+    #[test]
+    fn a_batch_key_from_older_files_is_ignored() {
+        let text = write_replay(&plan());
+        assert!(!text.contains("\"batch\""));
+        let older = text.replacen("  \"network\":", "  \"batch\": true,\n  \"network\":", 1);
+        assert!(older.contains("\"batch\": true"));
+        let (new, old) = (load_replay(&text).unwrap(), load_replay(&older).unwrap());
+        assert_eq!(new, old);
+        let digest = |p: &Plan| crate::exec::execute(p, None).expect("replay runs").digest;
+        assert_eq!(digest(&new), digest(&old));
     }
 
     #[test]

@@ -137,7 +137,6 @@ mod tests {
             ticks: 50,
             server: false,
             durable: false,
-            batch: false,
             network: false,
             victim_anchor: None,
             initial: Vec::new(),

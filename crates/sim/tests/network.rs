@@ -103,20 +103,3 @@ fn durable_network_run_survives_kill_restarts() {
     let b = execute(&plan, None).expect("second run");
     assert_eq!(a.digest, b.digest);
 }
-
-/// The batch evaluation path is answer-invisible under network
-/// distance too: same seed, batch on vs off, identical digests.
-#[test]
-fn batch_evaluation_is_answer_invisible_under_network_distance() {
-    let base = SimConfig {
-        ticks: 20,
-        ..net_cfg(9)
-    };
-    let a = run(&base).expect("network sim");
-    let batched = SimConfig {
-        batch: true,
-        ..base
-    };
-    let b = run(&batched).expect("batched network sim");
-    assert_eq!(a.digest, b.digest, "batch path changed network answers");
-}

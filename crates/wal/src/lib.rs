@@ -19,6 +19,8 @@
 //! snapshot plus the segment tail, tolerating torn tails, bit flips,
 //! and missing snapshots by skipping-and-counting, never panicking.
 
+#![forbid(unsafe_code)]
+
 use igern_core::processor::Algorithm;
 use igern_core::types::DistanceMode;
 use igern_grid::ObjectId;

@@ -16,6 +16,9 @@
 //!   Voronoi cells.
 //! * [`server`] — the TCP serving layer: streaming update ingestion, query
 //!   subscriptions, per-tick answer-delta push.
+
+#![forbid(unsafe_code)]
+
 pub use igern_core as core;
 pub use igern_engine as engine;
 pub use igern_geom as geom;

@@ -5,10 +5,9 @@
 //! mid-stream query registration and removal, across all eight
 //! algorithms.
 //!
-//! Every sweep runs with shared-scan batch evaluation off and on (on both
-//! sides — batching must be answer-invisible) and under both distance
-//! modes: in `DistanceMode::Network` both stores carry the same synthetic
-//! road graph and every query registers in network mode.
+//! Every sweep runs under both distance modes: in `DistanceMode::Network`
+//! both stores carry the same synthetic road graph and every query
+//! registers in network mode.
 
 mod common;
 
@@ -62,11 +61,9 @@ const ALGOS: [Algorithm; 8] = [
 /// the identical randomized stream — movement, skip routing on, and
 /// mid-stream add/remove of standing queries — asserting lock-step
 /// equality.
-fn run_stream(workers: usize, placement: Placement, seed: u64, batch: bool, mode: DistanceMode) {
+fn run_stream(workers: usize, placement: Placement, seed: u64, mode: DistanceMode) {
     let mut serial = TickRunner::new(loaded_store(seed, mode), 1, Placement::RoundRobin);
     let mut engine = TickRunner::new(loaded_store(seed, mode), workers, placement);
-    serial.set_batch(batch);
-    engine.set_batch(batch);
 
     // Anchors are kind-A objects (required by the bichromatic ones).
     let mut live: Vec<usize> = ALGOS
@@ -126,7 +123,7 @@ fn run_stream(workers: usize, placement: Placement, seed: u64, batch: bool, mode
             assert_eq!(
                 serial.answer(q),
                 engine.answer(q),
-                "answer diverged: query {q} tick {tick} workers {workers} {placement} batch {batch} {mode:?}"
+                "answer diverged: query {q} tick {tick} workers {workers} {placement} {mode:?}"
             );
             assert_eq!(serial.monitored(q), engine.monitored(q));
             let ss = serial.history(q).latest().unwrap();
@@ -148,12 +145,10 @@ fn run_stream(workers: usize, placement: Placement, seed: u64, batch: bool, mode
     assert!(skipped > 0, "stream never skipped — routing not exercised");
 }
 
-/// [`run_stream`] over batch off/on × both distance modes.
+/// [`run_stream`] under both distance modes.
 fn sweep(workers: usize, placement: Placement, seed: u64) {
-    for batch in [false, true] {
-        for mode in [DistanceMode::Euclidean, DistanceMode::Network] {
-            run_stream(workers, placement, seed, batch, mode);
-        }
+    for mode in [DistanceMode::Euclidean, DistanceMode::Network] {
+        run_stream(workers, placement, seed, mode);
     }
 }
 

@@ -6,8 +6,9 @@ mod common;
 
 use common::Lcg;
 use igern::core::processor::Algorithm;
+use igern::core::prune::PruneGranularity;
 use igern::core::types::ObjectKind;
-use igern::core::{KnnMonitor, MonoIgern, SpatialStore};
+use igern::core::{EvalScratch, KnnMonitor, MonoIgern, SpatialStore};
 use igern::engine::{Placement, TickRunner};
 use igern::geom::{Aabb, Point};
 use igern::grid::{k_nearest, Grid, ObjectId, OpCounters};
@@ -29,14 +30,16 @@ fn rknn_knn_duality_holds_every_tick() {
     let mut g = grid_of(&world, 16);
     let q_id = ObjectId(0);
     let k = 3;
-    let mut ops = OpCounters::new();
-    let mut monitor = MonoIgern::initial(&g, g.position(q_id).unwrap(), Some(q_id), k, &mut ops);
+    let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
+    let q = g.position(q_id).unwrap();
+    let exact = PruneGranularity::Exact;
+    let mut monitor = MonoIgern::initial(&g, q, Some(q_id), k, exact, &mut ops, &mut scratch);
     for tick in 0..10 {
         if tick > 0 {
             for u in world.advance().to_vec() {
                 g.update(ObjectId(u.id), u.pos);
             }
-            monitor.incremental(&g, g.position(q_id).unwrap(), &mut ops);
+            monitor.incremental(&g, g.position(q_id).unwrap(), &mut ops, &mut scratch);
         }
         let q_pos = g.position(q_id).unwrap();
         let answer = monitor.rnn();
@@ -75,13 +78,14 @@ fn monitors_survive_population_collapse() {
     let mut g = grid_of(&world, 8);
     let q_id = ObjectId(0);
     let q = g.position(q_id).unwrap();
-    let mut ops = OpCounters::new();
+    let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
+    let exact = PruneGranularity::Exact;
     let mut knn = KnnMonitor::initial(&g, q, Some(q_id), 5, &mut ops);
-    let mut rknn = MonoIgern::initial(&g, q, Some(q_id), 2, &mut ops);
+    let mut rknn = MonoIgern::initial(&g, q, Some(q_id), 2, exact, &mut ops, &mut scratch);
     for i in 1..50u32 {
         g.remove(ObjectId(i));
         knn.incremental(&g, q, &mut ops);
-        rknn.incremental(&g, q, &mut ops);
+        rknn.incremental(&g, q, &mut ops, &mut scratch);
     }
     assert!(knn.answer().is_empty());
     assert!(rknn.rnn().is_empty());
@@ -102,12 +106,12 @@ impl Fnv {
     }
 }
 
-/// Drive 16 queries of `algo` (8 packed into one grid cell so batch
-/// groups form, 8 scattered) over 2,400 mixed-kind objects for the
+/// Drive 16 queries of `algo` (8 packed into one grid cell, 8
+/// scattered) over 2,400 mixed-kind objects for the
 /// initial evaluation plus 30 ticks of movement; returns the FNV-1a
 /// digests of `(answers, all seven op counters, monitored)` and of the
 /// answers alone, over every query and tick.
-fn igern_run_digests(algo: Algorithm, batch: bool, workers: usize) -> (u64, u64) {
+fn igern_run_digests(algo: Algorithm, workers: usize) -> (u64, u64) {
     const N: usize = 2400;
     const SIDE: f64 = 1000.0;
     const QUERIES: usize = 16;
@@ -135,7 +139,6 @@ fn igern_run_digests(algo: Algorithm, batch: bool, workers: usize) -> (u64, u64)
     let mut store = SpatialStore::new(Aabb::from_coords(0.0, 0.0, SIDE, SIDE), 32, kinds);
     store.load(&pts);
     let mut p = TickRunner::new(store, workers, Placement::RoundRobin);
-    p.set_batch(batch);
     let qs: Vec<usize> = anchors
         .iter()
         .map(|&a| p.add_query(a, algo).unwrap())
@@ -147,7 +150,7 @@ fn igern_run_digests(algo: Algorithm, batch: bool, workers: usize) -> (u64, u64)
         } else {
             let mut ups = Vec::new();
             for (i, pos) in pts.iter_mut().enumerate() {
-                // The packed anchors stay put so their group persists.
+                // The packed anchors stay put.
                 let packed = anchors[..QUERIES / 2].contains(&ObjectId(i as u32));
                 if !packed && rng.usize(4) == 0 {
                     *pos = Point::new(
@@ -238,17 +241,14 @@ fn igern_behaviour_is_pinned_to_the_pre_merge_twins() {
     ];
     for (algo, full, answers) in rows {
         for workers in [1, 2, 4] {
-            for batch in [false, true] {
-                let got = igern_run_digests(algo, batch, workers);
-                assert_eq!(
-                    got,
-                    (full, answers),
-                    "{algo:?} batch {batch} workers {workers}: (full, answers) digests \
-                     {:#018x} {:#018x}",
-                    got.0,
-                    got.1
-                );
-            }
+            let got = igern_run_digests(algo, workers);
+            assert_eq!(
+                got,
+                (full, answers),
+                "{algo:?} workers {workers}: (full, answers) digests {:#018x} {:#018x}",
+                got.0,
+                got.1
+            );
         }
     }
 }

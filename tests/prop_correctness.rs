@@ -16,6 +16,7 @@ use igern_bench::rtree::{tpl_snapshot_rtree, RTree};
 
 const SPACE: f64 = 100.0;
 const CASES: usize = 64;
+const EXACT: PruneGranularity = PruneGranularity::Exact;
 
 fn space() -> Aabb {
     Aabb::from_coords(0.0, 0.0, SPACE, SPACE)
@@ -51,8 +52,7 @@ fn mono_initial_matches_oracle() {
         for k in 1..=3 {
             let want = naive::mono_rknn(&objs, q, None, k);
             for gran in [PruneGranularity::Exact, PruneGranularity::Cell] {
-                let m =
-                    MonoIgern::initial_in_feed(&g, None, q, None, k, gran, &mut ops, &mut scratch);
+                let m = MonoIgern::initial(&g, q, None, k, gran, &mut ops, &mut scratch);
                 assert_eq!(m.rnn(), want.as_slice(), "case {case} k {k} ({gran:?})");
             }
         }
@@ -73,8 +73,8 @@ fn mono_incremental_matches_oracle() {
         let n_q_moves = rng.usize(9);
         let q_moves = rng.points(n_q_moves, SPACE);
         let mut g = grid_of(&points, 8);
-        let mut ops = OpCounters::new();
-        let mut m = MonoIgern::initial(&g, q0, None, 1, &mut ops);
+        let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
+        let mut m = MonoIgern::initial(&g, q0, None, 1, EXACT, &mut ops, &mut scratch);
         let mut q = q0;
         let mut q_iter = q_moves.into_iter();
         for (chunk, (idx, to)) in moves.into_iter().enumerate() {
@@ -85,7 +85,7 @@ fn mono_incremental_matches_oracle() {
                     q = nq;
                 }
             }
-            m.incremental(&g, q, &mut ops);
+            m.incremental(&g, q, &mut ops, &mut scratch);
             let objs: Vec<(ObjectId, Point)> = g.iter().collect();
             let want = naive::mono_rnn(&objs, q, None);
             assert_eq!(m.rnn(), want.as_slice(), "case {case}");
@@ -137,18 +137,7 @@ fn bi_initial_matches_oracle() {
         for k in 1..=3 {
             let want = naive::bi_rknn(&a, &b, q, None, k);
             for gran in [PruneGranularity::Exact, PruneGranularity::Cell] {
-                let m = BiIgern::initial_in_feed(
-                    &ga,
-                    &gb,
-                    None,
-                    None,
-                    q,
-                    None,
-                    k,
-                    gran,
-                    &mut ops,
-                    &mut scratch,
-                );
+                let m = BiIgern::initial(&ga, &gb, q, None, k, gran, &mut ops, &mut scratch);
                 assert_eq!(m.rnn(), want.as_slice(), "case {case} k {k} ({gran:?})");
             }
         }
@@ -175,15 +164,15 @@ fn bi_incremental_matches_oracle() {
         for (i, &p) in b_pts.iter().enumerate() {
             gb.insert(ObjectId(1000 + i as u32), p);
         }
-        let mut ops = OpCounters::new();
-        let mut m = BiIgern::initial(&ga, &gb, q, None, 1, &mut ops);
+        let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
+        let mut m = BiIgern::initial(&ga, &gb, q, None, 1, EXACT, &mut ops, &mut scratch);
         for (is_a, idx, to) in moves {
             if is_a {
                 ga.update(ObjectId((idx % a_pts.len()) as u32), to);
             } else {
                 gb.update(ObjectId(1000 + (idx % b_pts.len()) as u32), to);
             }
-            m.incremental(&ga, &gb, q, &mut ops);
+            m.incremental(&ga, &gb, q, &mut ops, &mut scratch);
             let a: Vec<(ObjectId, Point)> = ga.iter().collect();
             let b: Vec<(ObjectId, Point)> = gb.iter().collect();
             let want = naive::bi_rnn(&a, &b, q, None);
@@ -205,15 +194,15 @@ fn krnn_matches_oracle() {
             .map(|_| (rng.usize(60), rng.point(SPACE)))
             .collect();
         let mut g = grid_of(&points, 8);
-        let mut ops = OpCounters::new();
+        let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
         let objs: Vec<(ObjectId, Point)> = g.iter().collect();
         let want = naive::mono_rknn(&objs, q, None, k);
-        let mut m = MonoIgern::initial(&g, q, None, k, &mut ops);
+        let mut m = MonoIgern::initial(&g, q, None, k, EXACT, &mut ops, &mut scratch);
         assert_eq!(m.rnn(), want.as_slice(), "case {case}");
         assert!(m.num_monitored() <= 6 * k, "case {case}");
         for (idx, to) in moves {
             g.update(ObjectId((idx % points.len()) as u32), to);
-            m.incremental(&g, q, &mut ops);
+            m.incremental(&g, q, &mut ops, &mut scratch);
             let objs: Vec<(ObjectId, Point)> = g.iter().collect();
             let want = naive::mono_rknn(&objs, q, None, k);
             assert_eq!(m.rnn(), want.as_slice(), "case {case}");
@@ -240,8 +229,8 @@ fn bi_krnn_matches_oracle() {
         let a: Vec<(ObjectId, Point)> = ga.iter().collect();
         let b: Vec<(ObjectId, Point)> = gb.iter().collect();
         let want = naive::bi_rknn(&a, &b, q, None, k);
-        let mut ops = OpCounters::new();
-        let m = BiIgern::initial(&ga, &gb, q, None, k, &mut ops);
+        let (mut ops, mut scratch) = (OpCounters::new(), EvalScratch::default());
+        let m = BiIgern::initial(&ga, &gb, q, None, k, EXACT, &mut ops, &mut scratch);
         assert_eq!(m.rnn(), want.as_slice(), "case {case}");
     }
 }

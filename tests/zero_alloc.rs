@@ -3,9 +3,9 @@
 //! A counting `#[global_allocator]` turns the data-oriented hot path's
 //! claim (DESIGN.md §14) into an assertion: after warm-up, a one-worker
 //! [`TickRunner::step`] with dirty-region routing on and bounded
-//! histories performs zero allocations per tick, per-query and batched
-//! alike (spawning a thread would allocate on the caller, so this also
-//! holds the one-worker round to running inline). The counter is per thread, so libtest's own threads cannot
+//! histories performs zero allocations per tick (spawning a thread would
+//! allocate on the caller, so this also holds the one-worker round to
+//! running inline). The counter is per thread, so libtest's own threads cannot
 //! disturb it; this is the only `#[test]` in the file so nothing else
 //! runs on the measuring thread.
 
@@ -83,7 +83,7 @@ fn is_order_3(i: usize) -> bool {
 /// queries skip every tick and the corner ones evaluate. Returns the
 /// allocations of each measured tick and how many queries — and how many
 /// order-3 ones — evaluated on the last one.
-fn allocations_per_tick(batch: bool) -> (Vec<u64>, usize, usize) {
+fn allocations_per_tick() -> (Vec<u64>, usize, usize) {
     let mut rng = Rng64::seed_from_u64(0x1a26_e5ee);
     let mut pts: Vec<Point> = Vec::with_capacity(OBJECTS);
     let spacing = SIDE / LATTICE as f64;
@@ -109,7 +109,6 @@ fn allocations_per_tick(batch: bool) -> (Vec<u64>, usize, usize) {
     store.load(&pts);
 
     let mut p = TickRunner::new(store, 1, Placement::RoundRobin);
-    p.set_batch(batch);
     // Bounded histories become rings: pushes stop allocating once full.
     p.set_history_capacity(Some(4));
     for i in 0..QUERIES {
@@ -160,21 +159,19 @@ fn allocations_per_tick(batch: bool) -> (Vec<u64>, usize, usize) {
 
 #[test]
 fn steady_state_routed_ticks_do_not_allocate() {
-    for batch in [false, true] {
-        let (per_tick, evaluated, evaluated_k3) = allocations_per_tick(batch);
-        assert!(
-            evaluated > 0 && evaluated < QUERIES / 10,
-            "batch {batch}: {evaluated} of {QUERIES} queries evaluated; the corner \
-             geometry should evaluate a few and skip the rest"
-        );
-        assert!(
-            evaluated_k3 > 0,
-            "batch {batch}: no order-3 anchor evaluated on the last tick"
-        );
-        assert!(
-            per_tick.iter().all(|&n| n == 0),
-            "batch {batch}: steady-state routed ticks must not touch the allocator; \
-             allocations per measured tick: {per_tick:?}"
-        );
-    }
+    let (per_tick, evaluated, evaluated_k3) = allocations_per_tick();
+    assert!(
+        evaluated > 0 && evaluated < QUERIES / 10,
+        "{evaluated} of {QUERIES} queries evaluated; the corner geometry should \
+         evaluate a few and skip the rest"
+    );
+    assert!(
+        evaluated_k3 > 0,
+        "no order-3 anchor evaluated on the last tick"
+    );
+    assert!(
+        per_tick.iter().all(|&n| n == 0),
+        "steady-state routed ticks must not touch the allocator; \
+         allocations per measured tick: {per_tick:?}"
+    );
 }
