@@ -6,9 +6,9 @@
 //! watch set ([`ContinuousMonitor::monitored_cells`] returns `None`), so
 //! skip routing only elides them on fully quiet ticks, which is sound
 //! because identical input yields an identical recomputation.
-//! Cross-query sharing happens through the lane's memoized Dijkstra
-//! expansions, which cache per anchor *node* and so are shared by every
-//! query and candidate touching that node.
+//! Cross-query sharing happens through the lane's cache of resumable
+//! Dijkstra states, keyed by source *node* and so shared by every query
+//! and candidate touching that node while it stays resident.
 //!
 //! # Pruning
 //!
@@ -19,19 +19,24 @@
 //! yields a handful of candidates. It declines to prune — falling back
 //! to every live object of the candidate colour — past a pop budget
 //! proportional to the population, or on a disconnected graph. Every
-//! candidate is then verified exactly as before: its query distance
-//! costs one pair of memoized expansions for the query's edge endpoints,
-//! and the per-candidate blocking test sweeps only the Euclidean disk
+//! candidate is then verified exactly: its query distance resumes the
+//! cached expansions from the query's edge endpoints, and the
+//! per-candidate blocking test sweeps only the Euclidean disk
 //! `disk(o, d_net(q, o))` of the *snapped* grid: any blocker `o'` has
 //! `d_net(o, o') < d_net(q, o)`, and since network distance dominates
 //! straight-line distance between snapped points, `o'` must lie inside
 //! that disk. [`net_lb`] keeps the bound sound under floating-point
-//! rounding. Distances are always computed with a fixed argument
+//! rounding. The sweep visits the disk's cells ring by ring outward from
+//! `o` and asks [`NetworkSpace::dist_below`], which settles nothing
+//! beyond the bound, so the nearest blockers come first and `o`'s
+//! expansions stop near its k-th network neighbour rather than growing to
+//! `d_net(q, o)`. Distances are always computed with a fixed argument
 //! orientation (query first for query distances, candidate first for
 //! blocking distances) so monitors and the `naive` network oracles
 //! compare bit-identical floats.
 
 use igern_geom::Point;
+use igern_grid::visit::ring_cells;
 use igern_grid::{CellSet, Grid, ObjectId, OpCounters};
 
 use crate::monitor::ContinuousMonitor;
@@ -85,7 +90,7 @@ fn blocked(
                 return false;
             };
             ops.objects_visited += 1;
-            if ns.dist(&mut scratch.net, o_pos, &pnp) < bound {
+            if ns.dist_below(&mut scratch.net, o_pos, &pnp, bound) {
                 closer += 1;
                 closer >= k
             } else {
@@ -101,13 +106,20 @@ fn blocked(
         }
         return closer >= k;
     }
+    // The disk's bounding box, visited ring by ring outward from `o`'s
+    // cell: nearer blockers first, so the count reaches `k` early.
     let c0 = grid.cell_of_point(Point::new(o_pos.point.x - bound, o_pos.point.y - bound));
     let c1 = grid.cell_of_point(Point::new(o_pos.point.x + bound, o_pos.point.y + bound));
     let (x0, y0) = grid.cell_coords(c0);
     let (x1, y1) = grid.cell_coords(c1);
-    for cy in y0..=y1 {
-        for cx in x0..=x1 {
-            let c = grid.cell_at(cx, cy);
+    let (ox, oy) = grid.cell_coords(grid.cell_of_point(o_pos.point));
+    let max_r = (ox - x0).max(x1 - ox).max(oy - y0).max(y1 - oy);
+    for r in 0..=max_r {
+        for c in ring_cells(grid, ox, oy, r) {
+            let (cx, cy) = grid.cell_coords(c);
+            if cx < x0 || cx > x1 || cy < y0 || cy > y1 {
+                continue;
+            }
             if net_lb(grid.cell_bounds(c).mindist(o_pos.point)) >= bound {
                 continue;
             }
@@ -352,7 +364,7 @@ mod tests {
     use igern_mobgen::{build_synthetic_network, SyntheticNetworkConfig};
 
     use super::*;
-    use crate::netspace::{Expansion, NetScratch, POP_BUDGET_PER_OBJECT};
+    use crate::netspace::{Expansion, NetScratch, DIST_CACHE_STATES, POP_BUDGET_PER_OBJECT};
 
     /// The benchmark's `roadnet` map (48 × 48 intersections, seed 7) with
     /// `n` objects at seeded random positions; even ids are kind A.
@@ -424,6 +436,103 @@ mod tests {
         }
         // ~8 on average when written; the budget would allow 20,000 each.
         assert!(pops <= 16 * 32, "{pops} pops over 16 expansions");
+    }
+
+    /// Every object of the 5k-object map as an anchor (mono, kNN and bi
+    /// in turn), evaluated twice through one scratch: the distance cache
+    /// ends at `DIST_CACHE_STATES` labels arrays plus the frontiers those
+    /// states explored, whatever it has seen, and its expansions stop near
+    /// each candidate's k-th neighbour. The memo this replaced held
+    /// a `V`-long map per touched node — here nearly every node, ~42 MB.
+    #[test]
+    fn distance_cache_memory_is_flat_in_time() {
+        let store = roadnet_store(5_000);
+        let v = net_view(&store).space().num_nodes();
+        let mut scratch = EvalScratch::new();
+        let mut ops = OpCounters::new();
+        let mut monitors: Vec<(ObjectId, Box<dyn ContinuousMonitor>)> = (0..5_000)
+            .map(ObjectId)
+            .map(|id| {
+                let m: Box<dyn ContinuousMonitor> = match id.0 % 3 {
+                    0 => Box::new(NetRknnMonitor::mono(Some(id), 1)),
+                    1 => Box::new(NetKnnMonitor::new(Some(id), 4)),
+                    _ => Box::new(NetRknnMonitor::bi(Some(id), 1)),
+                };
+                (id, m)
+            })
+            .collect();
+        // Labels, one byte per node and state for the touched lists and
+        // heaps of local expansions (~0.4 when written), and the
+        // node-to-slot index.
+        let ceiling = DIST_CACHE_STATES * v * 8 + DIST_CACHE_STATES * v + 16 * v;
+        for pass in 0..2 {
+            for (id, m) in &mut monitors {
+                let q = store.position(*id).expect("anchor is live");
+                m.evaluate(&store, q, &mut ops, &mut scratch);
+            }
+            assert_eq!(scratch.net.resident_states(), DIST_CACHE_STATES);
+            // The dense regime's work, pinned on the cold first pass: ~54,000
+            // nodes when written. Sweeping the disk row-major reads ~60,000,
+            // and `dist` in place of `dist_below` ~69,000.
+            if pass == 0 {
+                let settled = scratch.net.settled();
+                assert!(settled <= 57_000, "first pass settled {settled} nodes");
+            }
+            let bytes = scratch.net.resident_bytes();
+            assert!(
+                bytes <= ceiling,
+                "pass {pass}: {bytes} resident bytes over {ceiling}"
+            );
+        }
+    }
+
+    /// The sparse regime no benchmark workload covers: 200 objects, k = 4,
+    /// where nearly every expansion falls back to verifying every object
+    /// and the ~400 source nodes outnumber the cache. Four queries move
+    /// with a fifth of the objects each tick; the nodes the cache settles
+    /// per warmed tick are deterministic and pinned (30,000–42,000 when
+    /// written, 13–18 full expansions of the 2,304-node map). Evicting the
+    /// least recently used state instead settles ~72,000: the mono sweeps
+    /// cycle through more sources than the cache holds.
+    #[test]
+    fn sparse_ticks_settle_a_pinned_number_of_nodes() {
+        let mut store = roadnet_store(200);
+        let mut monitors: Vec<(ObjectId, NetRknnMonitor)> = [0, 100]
+            .into_iter()
+            .map(ObjectId)
+            .flat_map(|id| {
+                [
+                    (id, NetRknnMonitor::mono(Some(id), 4)),
+                    (id, NetRknnMonitor::bi(Some(id), 4)),
+                ]
+            })
+            .collect();
+        let mut scratch = EvalScratch::new();
+        let mut ops = OpCounters::new();
+        let mut state = 11u64;
+        let mut rnd = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        for tick in 0..20 {
+            for id in (0..200).map(ObjectId) {
+                if rnd() < 0.2 {
+                    store.apply(id, Point::new(rnd() * 1000.0, rnd() * 1000.0));
+                }
+            }
+            let before = scratch.net.settled();
+            for (id, m) in &mut monitors {
+                let q = store.position(*id).expect("anchor is live");
+                m.evaluate(&store, q, &mut ops, &mut scratch);
+            }
+            let settled = scratch.net.settled() - before;
+            assert!(
+                tick < 10 || settled <= 48_000,
+                "tick {tick}: {settled} nodes settled"
+            );
+        }
     }
 
     #[test]

@@ -12,11 +12,14 @@
 //! * **Shortest paths** — network distance between two snapped positions
 //!   is the minimum over the direct same-edge walk and the four
 //!   endpoint-to-endpoint route combinations, where node-to-node
-//!   distances come from full single-source Dijkstra expansions weighted
-//!   by *edge length* (not travel time). Expansions are memoized per
-//!   anchor node in the evaluation lane's [`NetScratch`]; the graph is
-//!   static, so a memo entry never invalidates and the steady-state tick
-//!   is allocation-free once the working set of anchor nodes is warm.
+//!   distances come from single-source Dijkstra expansions weighted by
+//!   *edge length* (not travel time). The evaluation lane's
+//!   [`NetScratch`] keeps a fixed number of them resident, the cheapest
+//!   to rebuild evicted first, each settled only as far as a lookup has
+//!   needed and resumed by the next; a label is read only once it is
+//!   final, so it is the float a full expansion would give.
+//!   [`NetworkSpace::dist_below`] answers `dist < bound` without
+//!   settling anything farther than `bound`.
 //! * **Admissible pruning** — edge weights are Euclidean segment
 //!   lengths, so the straight-line distance between two snapped points
 //!   never exceeds their network distance. [`net_lb`] deflates a
@@ -136,7 +139,7 @@ struct NetEdge {
 /// An immutable road network prepared for network-distance evaluation:
 /// length-weighted adjacency plus a cell-bucketed edge index for
 /// nearest-edge snapping. Shared across execution lanes behind an `Arc`;
-/// all mutable state (Dijkstra memos, heaps) lives in [`NetScratch`].
+/// all mutable state (cached Dijkstra states, heaps) lives in [`NetScratch`].
 #[derive(Debug)]
 pub struct NetworkSpace {
     nodes: Vec<Point>,
@@ -323,32 +326,80 @@ impl NetworkSpace {
         &self.adj[self.adj_off[n] as usize..self.adj_off[n + 1] as usize]
     }
 
-    /// Ensure `scratch` holds the full single-source distance map from
-    /// node `n` (length-weighted Dijkstra; unreachable nodes stay `∞`).
-    fn ensure_map(&self, scratch: &mut NetScratch, n: usize) {
-        if scratch.maps.len() < self.nodes.len() {
-            scratch.maps.resize_with(self.nodes.len(), || None);
+    /// Settle the cheapest live entry of `st`'s heap: relax its
+    /// neighbours by edge length.
+    fn settle(&self, st: &mut SourceState, HeapItem { cost, node }: HeapItem) {
+        st.sssp.heap.pop();
+        st.settled += 1;
+        for &(e, v) in self.incident(node as usize) {
+            st.sssp.relax(v, cost + self.edges[e as usize].len);
         }
-        if scratch.maps[n].is_some() {
-            return;
-        }
-        let s = &mut scratch.outer;
-        s.reset(self.nodes.len());
-        s.relax(n as u32, 0.0);
-        let mut unbounded = usize::MAX;
-        while let Ok(Some(HeapItem { cost, node })) = s.pop(&mut unbounded) {
-            for &(e, v) in self.incident(node as usize) {
-                s.relax(v, cost + self.edges[e as usize].len);
-            }
-        }
-        scratch.maps[n] = Some(s.dist[..self.nodes.len()].into());
     }
 
-    /// Memoized single-source network distances from node `n` (test and
-    /// oracle seam; [`NetworkSpace::dist`] is the evaluation entry).
+    /// Resume `st` until the route `dp + label(dst) + dq` is decided:
+    /// `Some(label)` once `dst`'s label is final, or `None` once every
+    /// unsettled node is so far that the route cannot come in under
+    /// `stop`.
+    ///
+    /// A label no greater than the cheapest live heap entry is final:
+    /// every later offer is that entry's cost or more, and `relax` only
+    /// takes strictly smaller ones. So the label is the one a full run
+    /// would leave, bit for bit. Otherwise the final label is at least
+    /// that entry's cost `c`, and float addition of nonnegative terms is
+    /// monotone, so `dp + c + dq ≥ stop` rules the route out exactly.
+    fn resolve(&self, st: &mut SourceState, dst: u32, dp: f64, dq: f64, stop: f64) -> Option<f64> {
+        loop {
+            let label = st.sssp.dist[dst as usize];
+            let Some(top) = st.sssp.live_top() else {
+                return Some(label);
+            };
+            if label <= top.cost {
+                return Some(label);
+            }
+            if dp + top.cost + dq >= stop {
+                return None;
+            }
+            self.settle(st, top);
+        }
+    }
+
+    /// Single-source network distances from node `n`, settled to the end
+    /// in the scratch's cache (test and oracle seam; [`NetworkSpace::dist`]
+    /// is the evaluation entry).
     pub fn node_dists<'a>(&self, scratch: &'a mut NetScratch, n: usize) -> &'a [f64] {
-        self.ensure_map(scratch, n);
-        scratch.maps[n].as_deref().unwrap()
+        let st = scratch.cache.state(self.nodes.len(), n as u32);
+        while let Some(top) = st.sssp.live_top() {
+            self.settle(st, top);
+        }
+        &st.sssp.dist[..self.nodes.len()]
+    }
+
+    /// The minimum of the direct same-edge walk (when applicable) and the
+    /// four endpoint routes, over the routes that can beat `cap`: exactly
+    /// [`NetworkSpace::dist`] when that is below `cap`, else some value
+    /// `≥ cap`. A route is only resolved against the better of `cap` and
+    /// the best so far, which drops exactly the routes that could not
+    /// lower the result.
+    fn dist_capped(&self, scratch: &mut NetScratch, p: &NetPos, q: &NetPos, cap: f64) -> f64 {
+        let pe = self.edges[p.edge as usize];
+        let qe = self.edges[q.edge as usize];
+        let mut best = if p.edge == q.edge {
+            (p.d_a - q.d_a).abs()
+        } else {
+            f64::INFINITY
+        };
+        for (dp, src) in [(p.d_a, pe.a), (p.d_b, pe.b)] {
+            let st = scratch.cache.state(self.nodes.len(), src);
+            for (dq, dst) in [(q.d_a, qe.a), (q.d_b, qe.b)] {
+                if let Some(label) = self.resolve(st, dst, dp, dq, best.min(cap)) {
+                    let d = dp + label + dq;
+                    if d < best {
+                        best = d;
+                    }
+                }
+            }
+        }
+        best
     }
 
     /// Exact network distance between two snapped positions: the minimum
@@ -360,27 +411,17 @@ impl NetworkSpace {
     /// result is bit-reproducible; monitors and oracles call it with the
     /// same orientation (query first for query distances, candidate
     /// first for blocking distances) and therefore compare identical
-    /// floats.
+    /// floats. Which sources happen to be resident in the scratch's cache
+    /// never changes a result, only what it costs.
     pub fn dist(&self, scratch: &mut NetScratch, p: &NetPos, q: &NetPos) -> f64 {
-        let pe = self.edges[p.edge as usize];
-        let qe = self.edges[q.edge as usize];
-        let mut best = if p.edge == q.edge {
-            (p.d_a - q.d_a).abs()
-        } else {
-            f64::INFINITY
-        };
-        self.ensure_map(scratch, pe.a as usize);
-        self.ensure_map(scratch, pe.b as usize);
-        for (dp, src) in [(p.d_a, pe.a), (p.d_b, pe.b)] {
-            let map = scratch.maps[src as usize].as_deref().unwrap();
-            for (dq, dst) in [(q.d_a, qe.a), (q.d_b, qe.b)] {
-                let d = dp + map[dst as usize] + dq;
-                if d < best {
-                    best = d;
-                }
-            }
-        }
-        best
+        self.dist_capped(scratch, p, q, f64::INFINITY)
+    }
+
+    /// Whether `dist(p, q) < bound`, settling no node farther than
+    /// `bound` from `p`'s endpoints: the same answer as comparing
+    /// [`NetworkSpace::dist`], for what a search of radius `bound` costs.
+    pub fn dist_below(&self, scratch: &mut NetScratch, p: &NetPos, q: &NetPos, bound: f64) -> bool {
+        self.dist_capped(scratch, p, q, bound) < bound
     }
 }
 
@@ -457,24 +498,116 @@ impl Sssp {
         }
         Ok(None)
     }
+
+    /// The cheapest live heap entry, left in the heap; stale entries
+    /// above it are dropped, as `pop` would drop them.
+    fn live_top(&mut self) -> Option<HeapItem> {
+        while let Some(&top) = self.heap.peek() {
+            if top.cost <= self.dist[top.node as usize] {
+                return Some(top);
+            }
+            self.heap.pop();
+        }
+        None
+    }
 }
 
 /// The candidate expansion ran out of heap pops.
 #[derive(Debug)]
 struct Spent;
 
-/// Per-lane mutable state for network-distance evaluation: the memoized
-/// single-source Dijkstra maps (keyed by anchor node, never invalidated
-/// — the graph is static) and the two reusable Dijkstra states plus
-/// buffers of the candidate expansion. Lives inside `EvalScratch`; a
-/// warm scratch makes network ticks allocation-free.
+/// Single-source states one [`NetScratch`] keeps resident. Full maps of
+/// the whole working set cost `V` floats per touched node (quadratic on
+/// `roadnet`); 64 states were still twice as slow as the unbounded memo
+/// on sparse maps, where the exhaustive fallback touches every object's
+/// nodes each tick. DESIGN §18 has the sweep.
+pub(crate) const DIST_CACHE_STATES: usize = 256;
+
+/// `DistCache::slot_of` entry of a node with no resident state.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One resumable single-source Dijkstra of the [`DistCache`].
+#[derive(Debug, Default)]
+struct SourceState {
+    src: u32,
+    /// The cache's `floor` at the last lookup: the state's eviction
+    /// priority is this plus the nodes it has labelled.
+    credit: u64,
+    sssp: Sssp,
+    /// Nodes this slot has settled, over every source it has held.
+    settled: u64,
+}
+
+/// A fixed-capacity cache of resumable single-source Dijkstra states,
+/// found by source node. A state settles only as far as the lookups on
+/// it have needed; eviction resets a state by its touched list and
+/// reuses its buffers, so a warm cache stops allocating.
+///
+/// Eviction is GreedyDual (Young 1994) with a state's labelled-node count
+/// as its rebuild cost: the state with the least `credit + labelled` goes,
+/// and `floor` rises to that value, so every lookup refreshes a state's
+/// credit to the current floor. Cheap states age out first and expensive
+/// ones (a query's, expanded toward every candidate) survive a sweep of
+/// more sources than the cache holds, where least-recently-used evicts
+/// each state just before it is needed again.
+#[derive(Debug, Default)]
+struct DistCache {
+    states: Vec<SourceState>,
+    /// `slot_of[n]`: the index in `states` of source `n`, or [`NO_SLOT`].
+    slot_of: Vec<u32>,
+    /// The priority of the last evicted state; never decreases.
+    floor: u64,
+}
+
+impl DistCache {
+    /// The state rooted at `src` on a graph of `nodes` nodes, made
+    /// resident if it is not: a new slot while the cache fills, the
+    /// lowest-priority one after.
+    fn state(&mut self, nodes: usize, src: u32) -> &mut SourceState {
+        if self.slot_of.len() < nodes {
+            self.slot_of.resize(nodes, NO_SLOT);
+        }
+        let mut slot = self.slot_of[src as usize];
+        if slot == NO_SLOT {
+            if self.states.len() < DIST_CACHE_STATES {
+                self.states.push(SourceState::default());
+                slot = (self.states.len() - 1) as u32;
+            } else {
+                let (victim, priority) = self
+                    .states
+                    .iter()
+                    .map(|st| st.credit + st.sssp.touched.len() as u64)
+                    .enumerate()
+                    .min_by_key(|&(_, priority)| priority)
+                    .expect("the cache is full");
+                self.floor = priority;
+                self.slot_of[self.states[victim].src as usize] = NO_SLOT;
+                slot = victim as u32;
+            }
+            self.slot_of[src as usize] = slot;
+            let st = &mut self.states[slot as usize];
+            st.src = src;
+            st.sssp.reset(nodes);
+            st.sssp.relax(src, 0.0);
+        }
+        let st = &mut self.states[slot as usize];
+        st.credit = self.floor;
+        st
+    }
+}
+
+/// Per-lane mutable state for network-distance evaluation: the
+/// fixed-capacity cache of resumable single-source Dijkstra states that
+/// [`NetworkSpace::dist`] reads, and the two reusable Dijkstra states
+/// plus buffers of the candidate expansion. Lives inside `EvalScratch`;
+/// once the cache is full and its buffers have grown to the working
+/// set, network ticks are allocation-free.
 #[derive(Debug, Default)]
 pub struct NetScratch {
-    maps: Vec<Option<Box<[f64]>>>,
+    cache: DistCache,
     /// Top-k staging for the network kNN monitor.
     pub(crate) knn: Vec<(f64, ObjectId)>,
-    /// The candidate expansion's outward search from `q`; also builds
-    /// each memoized map, unbounded.
+    /// The candidate expansion's outward search from `q`.
     outer: Sssp,
     /// Its per-node range checks.
     inner: Sssp,
@@ -497,9 +630,37 @@ pub(crate) struct Expansion {
 }
 
 impl NetScratch {
-    /// Number of anchor nodes whose expansion is currently memoized.
-    pub fn memoized(&self) -> usize {
-        self.maps.iter().filter(|m| m.is_some()).count()
+    /// Number of single-source states resident in the distance cache
+    /// (at most 256, the fixed capacity).
+    pub fn resident_states(&self) -> usize {
+        self.cache.states.len()
+    }
+
+    /// Heap bytes the distance cache holds: every state's labels,
+    /// touched list and heap, and the node-to-slot index.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let states: usize = self
+            .cache
+            .states
+            .iter()
+            .map(|st| {
+                let s = &st.sssp;
+                s.dist.capacity() * size_of::<f64>()
+                    + s.touched.capacity() * size_of::<u32>()
+                    + s.heap.capacity() * size_of::<HeapItem>()
+            })
+            .sum();
+        states
+            + self.cache.states.capacity() * size_of::<SourceState>()
+            + self.cache.slot_of.capacity() * size_of::<u32>()
+    }
+
+    /// Nodes the distance cache has settled since the scratch was made.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn settled(&self) -> u64 {
+        self.cache.states.iter().map(|st| st.settled).sum()
     }
 }
 
@@ -888,23 +1049,178 @@ mod tests {
     }
 
     #[test]
-    fn memoization_is_stable_and_reused() {
-        let ns = NetworkSpace::from_network(&ladder());
+    fn results_are_bit_stable_across_eviction_and_reexpansion() {
+        let net = igern_mobgen::build_synthetic_network(&igern_mobgen::SyntheticNetworkConfig {
+            k: 48,
+            seed: 7,
+            ..Default::default()
+        });
+        let ns = NetworkSpace::from_network(&net);
+        let mut rnd = lcg(41);
+        let mut pt = || ns.snap(Point::new(rnd() * 1000.0, rnd() * 1000.0));
+        let (p, q) = (pt(), pt());
         let mut s = NetScratch::default();
-        let p = ns.snap(Point::new(2.0, 0.0));
-        let q = ns.snap(Point::new(17.0, 10.0));
         let d1 = ns.dist(&mut s, &p, &q);
-        let warm = s.memoized();
-        let d2 = ns.dist(&mut s, &p, &q);
-        assert_eq!(
-            d1.to_bits(),
-            d2.to_bits(),
-            "memoized result must be bit-stable"
-        );
-        assert_eq!(s.memoized(), warm, "no new expansions on a warm repeat");
+        assert_eq!(s.resident_states(), 2, "one state per endpoint of p's edge");
+        // Fill the cache past capacity so p's states are evicted, then
+        // ask again: they are rebuilt from scratch, and agree bit for bit.
+        for _ in 0..DIST_CACHE_STATES {
+            let (a, b) = (pt(), pt());
+            ns.dist(&mut s, &a, &b);
+        }
+        assert_eq!(s.resident_states(), DIST_CACHE_STATES);
+        assert_eq!(ns.dist(&mut s, &p, &q).to_bits(), d1.to_bits());
+        assert_eq!(ns.dist(&mut s, &p, &q).to_bits(), d1.to_bits());
         // A fresh scratch agrees bit-for-bit too.
         let mut fresh = NetScratch::default();
         assert_eq!(ns.dist(&mut fresh, &p, &q).to_bits(), d1.to_bits());
+    }
+
+    /// Textbook lazy-deletion Dijkstra over `net` itself, sharing nothing
+    /// with `Sssp`: every node's label from `src`.
+    fn reference_dijkstra(net: &RoadNetwork, src: usize) -> Vec<f64> {
+        use std::cmp::Reverse;
+        let mut adj = vec![Vec::new(); net.num_nodes()];
+        for e in 0..net.num_edges() {
+            let edge = net.edge(e);
+            adj[edge.a].push((edge.b, edge.len));
+            adj[edge.b].push((edge.a, edge.len));
+        }
+        let mut dist = vec![f64::INFINITY; net.num_nodes()];
+        let mut done = vec![false; net.num_nodes()];
+        let mut heap = BinaryHeap::new();
+        dist[src] = 0.0;
+        // Nonnegative floats order like their bit patterns.
+        heap.push(Reverse((0f64.to_bits(), src)));
+        while let Some(Reverse((bits, u))) = heap.pop() {
+            if done[u] {
+                continue;
+            }
+            done[u] = true;
+            for &(v, len) in &adj[u] {
+                let d = f64::from_bits(bits) + len;
+                if d < dist[v] {
+                    dist[v] = d;
+                    heap.push(Reverse((d.to_bits(), v)));
+                }
+            }
+        }
+        dist
+    }
+
+    /// `dist` by definition: the same-edge walk and the four endpoint
+    /// routes over [`reference_dijkstra`] labels (memoized per source in
+    /// `maps`).
+    fn reference_dist(
+        net: &RoadNetwork,
+        maps: &mut std::collections::HashMap<u32, Vec<f64>>,
+        p: &NetPos,
+        q: &NetPos,
+    ) -> (f64, [f64; 4]) {
+        let (pe, qe) = (net.edge(p.edge as usize), net.edge(q.edge as usize));
+        let mut routes = [0.0; 4];
+        for (i, (dp, src)) in [(p.d_a, pe.a), (p.d_b, pe.b)].into_iter().enumerate() {
+            let map = maps
+                .entry(src as u32)
+                .or_insert_with(|| reference_dijkstra(net, src));
+            for (j, (dq, dst)) in [(q.d_a, qe.a), (q.d_b, qe.b)].into_iter().enumerate() {
+                routes[2 * i + j] = dp + map[dst] + dq;
+            }
+        }
+        let direct = if p.edge == q.edge {
+            (p.d_a - q.d_a).abs()
+        } else {
+            f64::INFINITY
+        };
+        (routes.iter().copied().fold(direct, f64::min), routes)
+    }
+
+    /// Holds `dist` and `dist_below` to the reference bit for bit on the
+    /// pair: at the distance itself and at each route sum (ties, where
+    /// `<` must say no), just above and below them, and at a random bound
+    /// that often leaves a state mid-expansion for a later call to resume.
+    fn check_pair(
+        net: &RoadNetwork,
+        ns: &NetworkSpace,
+        s: &mut NetScratch,
+        maps: &mut std::collections::HashMap<u32, Vec<f64>>,
+        p: &NetPos,
+        q: &NetPos,
+        rnd: &mut impl FnMut() -> f64,
+    ) {
+        let (want, routes) = reference_dist(net, maps, p, q);
+        let mut bounds = vec![want, rnd() * 2.0 * want.min(2000.0), 0.0, f64::INFINITY];
+        for b in routes.into_iter().chain([want]).filter(|b| b.is_finite()) {
+            bounds.extend([b, b.next_up(), b.next_down()]);
+        }
+        for bound in bounds {
+            assert_eq!(
+                ns.dist_below(s, p, q, bound),
+                want < bound,
+                "dist_below({p:?}, {q:?}, {bound}) against {want}"
+            );
+        }
+        assert_eq!(ns.dist(s, p, q).to_bits(), want.to_bits(), "{p:?} {q:?}");
+    }
+
+    #[test]
+    fn distances_match_a_textbook_dijkstra_bit_for_bit() {
+        let grid = igern_mobgen::build_synthetic_network(&igern_mobgen::SyntheticNetworkConfig {
+            k: 48,
+            seed: 7,
+            ..Default::default()
+        });
+        let split = RoadNetwork::new(
+            vec![
+                Point::new(0.0, 0.0),
+                Point::new(1.0, 0.0),
+                Point::new(1.0, 1.5),
+                Point::new(9.0, 9.0),
+                Point::new(10.0, 9.0),
+            ],
+            &[
+                (0, 1, RoadClass::Main),
+                (1, 2, RoadClass::Side),
+                (3, 4, RoadClass::Main),
+            ],
+            Aabb::from_coords(0.0, 0.0, 10.0, 10.0),
+        );
+        let mut infinite = 0;
+        for (net, pairs) in [(grid, 1_500), (ladder(), 400), (split, 200)] {
+            let ns = NetworkSpace::from_network(&net);
+            let space = *ns.space();
+            let mut rnd = lcg(net.num_nodes() as u64);
+            let pt = |rnd: &mut dyn FnMut() -> f64| {
+                let x = space.min.x + rnd() * (space.max.x - space.min.x);
+                ns.snap(Point::new(
+                    x,
+                    space.min.y + rnd() * (space.max.y - space.min.y),
+                ))
+            };
+            let mut s = NetScratch::default();
+            let mut maps = std::collections::HashMap::new();
+            // Old pairs come back between new ones: on the 48 × 48 map the
+            // ~3,000 sources overflow the cache, so they return evicted,
+            // or resident and half-expanded.
+            let mut seen: Vec<(NetPos, NetPos)> = Vec::new();
+            for _ in 0..pairs {
+                let (p, q) = if !seen.is_empty() && rnd() < 0.3 {
+                    seen[(rnd() * seen.len() as f64) as usize % seen.len()]
+                } else {
+                    (pt(&mut rnd), pt(&mut rnd))
+                };
+                check_pair(&net, &ns, &mut s, &mut maps, &p, &q, &mut rnd);
+                infinite += usize::from(ns.dist(&mut s, &p, &q) == f64::INFINITY);
+                seen.push((p, q));
+            }
+            if net.num_nodes() > 1_000 {
+                assert!(maps.len() > 4 * DIST_CACHE_STATES, "{} sources", maps.len());
+            }
+        }
+        assert!(
+            infinite > 20,
+            "only {infinite} pairs across the split graph"
+        );
     }
 
     #[test]

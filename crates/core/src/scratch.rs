@@ -41,11 +41,12 @@ pub struct EvalScratch {
     pub neighbors: Vec<Neighbor>,
     /// Alive-region staging for snapshot baselines (TPL).
     pub alive: CellSet,
-    /// Network-distance state: memoized Dijkstra expansions and the
-    /// candidate expansion's reusable search states. Unlike the buffers
-    /// above, the memo *does* carry meaning across calls — the graph is
-    /// static, so cached expansions stay valid for the shard's lifetime
-    /// (and results never depend on which entries happen to be warm).
+    /// Network-distance state: a fixed-capacity cache of resumable
+    /// Dijkstra states and the candidate expansion's reusable search
+    /// states. Unlike the buffers above, the cache *does* carry work
+    /// across calls — the graph is static, so a resident state stays
+    /// valid for the shard's lifetime — but never meaning: results do not
+    /// depend on which sources happen to be resident.
     pub net: NetScratch,
 }
 
